@@ -16,9 +16,10 @@ import (
 // LOGGED/COMMITTED marker pair, one batched flush — once per shard group
 // rather than once per key. See DESIGN.md §9 ("Group execution").
 //
-// Grouping is by shard for the same reason MultiGet groups reads: one group's
-// transaction touches one shard's probe chains and entry blocks, keeping its
-// HTM read/write sets small and its conflicts confined to that shard. Each
+// Grouping is by shard so that one group's transaction touches one shard's
+// probe chains and entry blocks, keeping its HTM read/write sets small and
+// its conflicts confined to that shard (a batch that read every shard in one
+// hardware transaction would blow the read-set capacity). Each
 // group is additionally split so its estimated persistent write count stays
 // within the engine's per-transaction write budget (ptm.WriteBudgeter), which
 // bounds every group transaction by the HTM write capacity and the undo-log

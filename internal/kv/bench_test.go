@@ -196,29 +196,3 @@ func BenchmarkKVApplyMixedA16(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/op")
 }
-
-// BenchmarkKVMultiGet64 measures a 64-key batch through MultiGet over a
-// 16-shard store: same-shard keys share one read-only transaction (about
-// four keys per transaction here), so the per-key cost — reported as the
-// ns/key metric — drops below a single Get's.
-func BenchmarkKVMultiGet64(b *testing.B) {
-	s, th := benchStore(b, 1024)
-	var keys [][]byte
-	for i := 0; i < 64; i++ {
-		keys = append(keys, fmt.Appendf(nil, "user%d", i*13))
-	}
-	var dst []byte
-	var vals [][]byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		dst, vals, err = s.MultiGet(th, keys, dst[:0], vals)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(vals) != 64 {
-			b.Fatalf("%d results", len(vals))
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/key")
-}

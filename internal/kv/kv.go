@@ -602,118 +602,34 @@ func (s *Store) scanTable(tx ptm.Tx, table nvm.Addr, slots uint64, h uint64, n, 
 	return dst, seen
 }
 
-// Get runs a read-only lookup transaction on the engine's read fast path
-// (ptm.Thread.AtomicRead: no log reservation, no persist barriers),
-// appending the value to dst (pass nil to allocate). The returned slice
-// aliases dst's storage.
-func (s *Store) Get(th ptm.Thread, key, dst []byte) ([]byte, bool, error) {
-	var (
-		out []byte
-		ok  bool
-	)
-	err := th.AtomicRead(func(tx ptm.Tx) error {
-		// Reset on entry: engines may re-execute the body.
-		out, ok = s.GetTx(tx, key, dst[:0])
-		return nil
-	})
-	return out, ok, err
-}
-
-// MultiGet looks up a batch of keys, amortizing one read-only transaction
-// over every batch key that hashes to the same shard: keys are grouped by
-// shard and each group is served by a single AtomicRead, so a batch over k
-// keys costs at most min(k, shards) transactions instead of k. Values are
-// appended to dst; vals (reused if non-nil) receives one entry per key —
-// aliasing dst's final storage, nil for missing keys — in key order.
-//
-// Grouping by shard keeps each transaction's read set small (one shard's
-// probe chains), which matters on HTM engines: a batch that read every
-// shard in one hardware transaction would blow the read-set capacity and
-// degenerate to the serial fallback.
-func (s *Store) MultiGet(th ptm.Thread, keys [][]byte, dst []byte, vals [][]byte) ([]byte, [][]byte, error) {
-	vals = vals[:0]
-	if len(keys) == 0 {
-		return dst, vals, nil
-	}
-	// Per-key spans into dst, recorded transactionally and resolved into
-	// slices only once dst's storage is final (appends may reallocate it).
-	type span struct{ off, n int }
-	spans := make([]span, len(keys))
-	hashes := make([]uint64, len(keys))
-	grouped := make([]bool, len(keys))
-	for i, k := range keys {
-		hashes[i] = hashKey(k)
-	}
-	for i := range keys {
-		if grouped[i] {
-			continue
-		}
-		sh := s.shardOf(hashes[i])
-		base := len(dst)
-		err := th.AtomicRead(func(tx ptm.Tx) error {
-			// Reset on entry: engines may re-execute the body.
-			dst = dst[:base]
-			for j := i; j < len(keys); j++ {
-				if j > i && grouped[j] {
-					continue
-				}
-				if s.shardOf(hashes[j]) != sh {
-					continue
-				}
-				off := len(dst)
-				slot := s.find(tx, s.shardHeader(sh), hashes[j], keys[j])
-				if slot == nvm.NilAddr {
-					spans[j] = span{off: -1}
-					continue
-				}
-				block := nvm.Addr(tx.Load(slot + 1))
-				keyLen, valLen := unpackHeader(tx.Load(block))
-				dst = appendBytes(tx, block+1+nvm.Addr((keyLen+7)/8), valLen, dst)
-				spans[j] = span{off: off, n: valLen}
-			}
-			return nil
-		})
-		if err != nil {
-			return dst, vals[:0], err
-		}
-		// Mark the group's members only after the transaction committed, so
-		// a re-executed body visits exactly the same keys.
-		for j := i; j < len(keys); j++ {
-			if !grouped[j] && s.shardOf(hashes[j]) == sh {
-				grouped[j] = true
-			}
-		}
-	}
-	for i := range keys {
-		if spans[i].off < 0 {
-			vals = append(vals, nil)
-		} else {
-			vals = append(vals, dst[spans[i].off:spans[i].off+spans[i].n])
-		}
-	}
-	return dst, vals, nil
-}
-
-// opCall carries one Put/Delete invocation's arguments and results through
-// the transaction body. The structs are pooled and the bodies bound once at
-// pool time: a closure capturing the staged rehash mask by reference would
-// cost two heap allocations per op (the closure plus the boxed mask), and
-// these wrappers are the per-op hot path.
+// opCall carries one Get/Put/Delete invocation's arguments and results
+// through the transaction body. The structs are pooled and the bodies bound
+// once at pool time: a closure capturing the results by reference would cost
+// heap allocations per op (the closure plus each boxed result), and these
+// wrappers are the per-op hot path.
 type opCall struct {
 	s          *Store
-	key, value []byte
+	key, value []byte // value: the put's argument, or the get's dst and result
 	step       rehashStep
 	found      bool
+	get        func(ptm.Tx) error
 	put        func(ptm.Tx) error
 	del        func(ptm.Tx) error
 }
 
 var opCallPool = sync.Pool{New: func() any {
 	c := new(opCall)
+	c.get = c.runGet
 	c.put = c.runPut
 	c.del = c.runDel
 	return c
 }}
+
+func (c *opCall) runGet(tx ptm.Tx) error {
+	// Reset on entry: engines may re-execute the body.
+	c.value, c.found = c.s.GetTx(tx, c.key, c.value[:0])
+	return nil
+}
 
 func (c *opCall) runPut(tx ptm.Tx) error {
 	// Each (re-)execution overwrites step; the fold in Put sees the
@@ -733,6 +649,22 @@ func (c *opCall) runDel(tx ptm.Tx) error {
 func (c *opCall) release() {
 	c.s, c.key, c.value = nil, nil, nil
 	opCallPool.Put(c)
+}
+
+// Get runs a read-only lookup transaction on the engine's read fast path
+// (ptm.Thread.AtomicRead: no log reservation, no persist barriers),
+// appending the value to dst[:0] (pass nil to allocate). The returned slice
+// aliases dst's storage.
+func (s *Store) Get(th ptm.Thread, key, dst []byte) ([]byte, bool, error) {
+	c := opCallPool.Get().(*opCall)
+	c.s, c.key, c.value, c.found = s, key, dst, false
+	err := th.AtomicRead(c.get)
+	out, ok := c.value, c.found
+	c.release()
+	if err != nil {
+		return nil, false, err
+	}
+	return out, ok, nil
 }
 
 // Put runs an insert-or-update transaction.

@@ -100,11 +100,12 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-// TestMultiGet checks the batched read path: hits and misses interleaved in
-// key order, values aliasing the shared destination buffer, duplicates, and
-// batches larger than the shard count (so several keys share one shard's
-// transaction).
-func TestMultiGet(t *testing.T) {
+// TestApplyAllGets checks the batched read path — an Apply batch of nothing
+// but gets, the arm that serves each shard group in one AtomicRead: hits and
+// misses interleaved in key order, values aliasing the shared destination
+// buffer, a duplicate key, and batches larger than the shard count (so several
+// keys share one shard's transaction).
+func TestApplyAllGets(t *testing.T) {
 	eng, _ := newNonDurable(t, 1<<21, 1<<19)
 	th := eng.Register()
 	s := mustCreate(t, eng, th, Config{Shards: 4, InitialSlotsPerShard: 64})
@@ -118,53 +119,56 @@ func TestMultiGet(t *testing.T) {
 		}
 	}
 
-	var keys [][]byte
+	var ops []Op
 	for i := 0; i < n; i += 2 {
-		keys = append(keys, fmt.Appendf(nil, "key%03d", i))  // present
-		keys = append(keys, fmt.Appendf(nil, "nope%03d", i)) // absent
+		ops = append(ops, Op{Kind: OpGet, Key: fmt.Appendf(nil, "key%03d", i)})  // present
+		ops = append(ops, Op{Kind: OpGet, Key: fmt.Appendf(nil, "nope%03d", i)}) // absent
 	}
-	keys = append(keys, keys[0]) // duplicate key in one batch
+	ops = append(ops, ops[0]) // duplicate key in one batch
 
-	dst, vals, err := s.MultiGet(th, keys, nil, nil)
+	res, dst, err := s.Apply(th, ops, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != len(keys) {
-		t.Fatalf("got %d results for %d keys", len(vals), len(keys))
+	if len(res) != len(ops) {
+		t.Fatalf("got %d results for %d keys", len(res), len(ops))
 	}
-	for i, key := range keys {
+	for i := range ops {
+		key := ops[i].Key
 		want := ""
 		if string(key[:3]) == "key" {
 			want = "value-" + string(key[3:])
 		}
 		switch {
-		case want == "" && vals[i] != nil:
-			t.Fatalf("key %q: got %q, want miss", key, vals[i])
-		case want != "" && string(vals[i]) != want:
-			t.Fatalf("key %q: got %q, want %q", key, vals[i], want)
+		case res[i].Err != nil:
+			t.Fatalf("key %q: %v", key, res[i].Err)
+		case want == "" && (res[i].Found || res[i].Value != nil):
+			t.Fatalf("key %q: got %q, want miss", key, res[i].Value)
+		case want != "" && (!res[i].Found || string(res[i].Value) != want):
+			t.Fatalf("key %q: got %q, want %q", key, res[i].Value, want)
 		}
 	}
 
 	// Reusing the returned buffers must not change the results.
-	dst, vals, err = s.MultiGet(th, keys[:4], dst[:0], vals)
-	if err != nil || len(vals) != 4 {
-		t.Fatalf("reused-buffer batch: %d results, err=%v", len(vals), err)
+	res, _, err = s.Apply(th, ops[:4], res, dst[:0])
+	if err != nil || len(res) != 4 {
+		t.Fatalf("reused-buffer batch: %d results, err=%v", len(res), err)
 	}
-	if string(vals[0]) != "value-000" || vals[1] != nil {
-		t.Fatalf("reused-buffer batch: got %q, %q", vals[0], vals[1])
+	if string(res[0].Value) != "value-000" || res[1].Found {
+		t.Fatalf("reused-buffer batch: got %q, found=%v", res[0].Value, res[1].Found)
 	}
-	_ = dst
 
 	// An empty batch is legal.
-	if _, vals, err := s.MultiGet(th, nil, nil, nil); err != nil || len(vals) != 0 {
-		t.Fatalf("empty batch: %d results, err=%v", len(vals), err)
+	if res, _, err := s.Apply(th, nil, nil, nil); err != nil || len(res) != 0 {
+		t.Fatalf("empty batch: %d results, err=%v", len(res), err)
 	}
 }
 
-// TestMultiGetMatchesGet cross-checks MultiGet against repeated Get over a
-// randomly populated store, on both a plain HTM engine and Crafty (whose
-// read-only fast path serves each shard group in one hardware transaction).
-func TestMultiGetMatchesGet(t *testing.T) {
+// TestApplyAllGetsMatchesGet cross-checks the all-gets Apply arm against
+// repeated Get over a randomly populated store, on both a plain HTM engine
+// and Crafty (whose read-only fast path serves each shard group in one
+// hardware transaction).
+func TestApplyAllGetsMatchesGet(t *testing.T) {
 	engines := map[string]func(t *testing.T) ptm.Engine{
 		"nondurable": func(t *testing.T) ptm.Engine {
 			eng, _ := newNonDurable(t, 1<<21, 1<<19)
@@ -191,27 +195,59 @@ func TestMultiGetMatchesGet(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var keys [][]byte
+			var ops []Op
 			for i := 0; i < 300; i++ {
-				keys = append(keys, fmt.Appendf(nil, "k%d", i))
+				ops = append(ops, Op{Kind: OpGet, Key: fmt.Appendf(nil, "k%d", i)})
 			}
-			_, vals, err := s.MultiGet(th, keys, nil, nil)
+			res, _, err := s.Apply(th, ops, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, key := range keys {
+			for i := range ops {
+				key := ops[i].Key
 				want, ok, err := s.Get(th, key, nil)
-				if err != nil {
-					t.Fatal(err)
+				if err != nil || res[i].Err != nil {
+					t.Fatal(err, res[i].Err)
 				}
 				switch {
-				case !ok && vals[i] != nil:
-					t.Fatalf("key %q: MultiGet hit %q, Get miss", key, vals[i])
-				case ok && string(vals[i]) != string(want):
-					t.Fatalf("key %q: MultiGet %q, Get %q", key, vals[i], want)
+				case ok != res[i].Found:
+					t.Fatalf("key %q: Apply found=%v (%q), Get found=%v", key, res[i].Found, res[i].Value, ok)
+				case ok && string(res[i].Value) != string(want):
+					t.Fatalf("key %q: Apply %q, Get %q", key, res[i].Value, want)
 				}
 			}
 		})
+	}
+}
+
+// TestGetAllocFree pins the single-key read at zero allocations: the lookup
+// rides a pooled call struct with its transaction body bound once, like Put
+// and Delete, instead of a closure that escapes per call.
+func TestGetAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	eng, _ := newNonDurable(t, 1<<21, 1<<19)
+	th := eng.Register()
+	s := mustCreate(t, eng, th, Config{Shards: 4, InitialSlotsPerShard: 64})
+	key, miss := []byte("present"), []byte("absent")
+	if err := s.Put(th, key, []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, 64)
+	get := func() {
+		var ok bool
+		var err error
+		if dst, ok, err = s.Get(th, key, dst); err != nil || !ok || string(dst) != "value" {
+			t.Fatalf("Get = %q, %v, %v", dst, ok, err)
+		}
+		if dst, ok, err = s.Get(th, miss, dst); err != nil || ok || len(dst) != 0 {
+			t.Fatalf("Get(absent) = %q, %v, %v", dst, ok, err)
+		}
+	}
+	get()
+	if allocs := testing.AllocsPerRun(200, get); allocs != 0 {
+		t.Errorf("Get allocates %v per hit+miss pair, want 0", allocs)
 	}
 }
 
