@@ -2,12 +2,17 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"crafty"
+	"crafty/internal/kvclient"
+	"crafty/internal/wire"
 )
 
 // startServer brings a small server up on an ephemeral port.
@@ -100,21 +105,161 @@ func (c *client) expect(t *testing.T, req, want string) {
 	}
 }
 
-func TestProtocolBasics(t *testing.T) {
-	addr := startServer(t)
-	c := dial(t, addr)
-	c.expect(t, "GET nothing", "NIL")
-	c.expect(t, "PUT greeting hello", "OK")
-	c.expect(t, "GET greeting", "VAL hello")
-	c.expect(t, "PUT greeting goodbye", "OK")
-	c.expect(t, "GET greeting", "VAL goodbye")
-	c.expect(t, "LEN", "LEN 1")
-	c.expect(t, "DEL greeting", "OK")
-	c.expect(t, "DEL greeting", "NIL")
-	c.expect(t, "GET greeting", "NIL")
-	c.expect(t, "BOGUS", `ERR unknown command "BOGUS"`)
-	c.expect(t, "PUT justakey", "ERR usage: PUT <key> <value>")
-	c.expect(t, "QUIT", "BYE")
+// eachCodec runs fn once per codec: the server's behaviour above the codecs
+// is one behaviour, asserted once.
+func eachCodec(t *testing.T, fn func(t *testing.T, binary bool)) {
+	for _, binary := range []bool{false, true} {
+		name := "text"
+		if binary {
+			name = "binary"
+		}
+		t.Run(name, func(t *testing.T) { fn(t, binary) })
+	}
+}
+
+// dialTyped connects the typed client in one codec. The timeout leaves room
+// for a CRASH recovery under the race detector.
+func dialTyped(t *testing.T, addr string, binary bool) *kvclient.Client {
+	t.Helper()
+	cl, err := kvclient.Dial(addr, kvclient.Config{Binary: binary, Seed: 5, Timeout: 60 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	if cl.Binary() != binary {
+		t.Fatalf("client negotiated binary=%t, want %t", cl.Binary(), binary)
+	}
+	return cl
+}
+
+func gets(keys ...string) []crafty.KVOp {
+	ops := make([]crafty.KVOp, len(keys))
+	for i, k := range keys {
+		ops[i] = crafty.KVOp{Kind: crafty.KVGet, Key: []byte(k)}
+	}
+	return ops
+}
+
+func dels(keys ...string) []crafty.KVOp {
+	ops := gets(keys...)
+	for i := range ops {
+		ops[i].Kind = crafty.KVDelete
+	}
+	return ops
+}
+
+func puts(pairs ...string) []crafty.KVOp {
+	ops := make([]crafty.KVOp, 0, len(pairs)/2)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		ops = append(ops, crafty.KVOp{Kind: crafty.KVPut, Key: []byte(pairs[i]), Value: []byte(pairs[i+1])})
+	}
+	return ops
+}
+
+var (
+	replyOK  = wire.Reply{Kind: wire.TOK}
+	replyNil = wire.Reply{Kind: wire.TNil}
+)
+
+func replyVal(v string) wire.Reply  { return wire.Reply{Kind: wire.TVal, Val: []byte(v)} }
+func replyUint(n uint64) wire.Reply { return wire.Reply{Kind: wire.TUint, N: n} }
+
+func sameReply(a, b wire.Reply) bool {
+	return a.Kind == b.Kind && bytes.Equal(a.Val, b.Val) && a.N == b.N && a.Msg == b.Msg
+}
+
+// apply runs one multi-op request and asserts its replies.
+func apply(t *testing.T, cl *kvclient.Client, ops []crafty.KVOp, want ...wire.Reply) {
+	t.Helper()
+	got, err := cl.Apply(ops)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("Apply(%v) = %+v, %v; want %d replies", ops, got, err, len(want))
+	}
+	for i := range want {
+		if !sameReply(got[i], want[i]) {
+			t.Fatalf("Apply(%v) reply %d = %+v, want %+v", ops, i, got[i], want[i])
+		}
+	}
+}
+
+// TestCommands drives every command against a live server, once per codec,
+// through the typed client. (What only raw bytes can ask — usage errors,
+// unknown commands and frame types — is pinned byte for byte by the golden
+// transcripts.)
+func TestCommands(t *testing.T) {
+	eachCodec(t, func(t *testing.T, binary bool) {
+		cl := dialTyped(t, startServer(t), binary)
+		get := func(key, want string, present bool) {
+			t.Helper()
+			if v, ok, err := cl.Get(key); err != nil || ok != present || v != want {
+				t.Fatalf("Get(%s) = %q, %t, %v; want %q, %t", key, v, ok, err, want, present)
+			}
+		}
+		wantLen := func(want uint64) {
+			t.Helper()
+			if n, err := cl.Len(); err != nil || n != want {
+				t.Fatalf("Len = %d, %v; want %d", n, err, want)
+			}
+		}
+		del := func(key string, present bool) {
+			t.Helper()
+			if ok, err := cl.Del(key); err != nil || ok != present {
+				t.Fatalf("Del(%s) = %t, %v; want %t", key, ok, err, present)
+			}
+		}
+		put := func(key, val string) {
+			t.Helper()
+			if err := cl.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		get("nothing", "", false)
+		put("greeting", "hello")
+		get("greeting", "hello", true)
+		put("greeting", "goodbye")
+		get("greeting", "goodbye", true)
+		wantLen(1)
+
+		apply(t, cl, puts("a", "1", "b", "2"), replyUint(2))
+		apply(t, cl, gets("a", "b", "nope"), replyVal("1"), replyVal("2"), replyNil)
+		wantLen(3)
+		apply(t, cl, dels("a", "nope"), replyOK, replyNil)
+		del("b", true)
+		del("b", false)
+		del("greeting", true)
+		del("greeting", false)
+		get("greeting", "", false)
+
+		if err := cl.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if text, err := cl.Checkpoint(); err != nil || !strings.HasPrefix(text, "OK seq=") {
+			t.Fatalf("Checkpoint = %q, %v", text, err)
+		}
+		info, err := cl.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"wire.frames", "conn.commands", "arena.leaked_words"} {
+			if _, ok := info[name]; !ok {
+				t.Errorf("INFO lacks the %s counter: %v", name, info)
+			}
+		}
+		if binary && info["wire.frames"] <= 0 {
+			t.Errorf("wire.frames = %d after binary traffic", info["wire.frames"])
+		}
+		// The commands that had no frame before the one command table: both
+		// codecs carry them now.
+		if text, err := cl.ReplInfo(); err != nil || text != "REPLINFO role=primary repl=off" {
+			t.Fatalf("ReplInfo = %q, %v", text, err)
+		}
+		if _, err := cl.Promote(); err == nil || !strings.Contains(err.Error(), "ERR replication not configured") {
+			t.Fatalf("Promote on a standalone server: %v", err)
+		}
+		if text, err := cl.Do("QUIT"); err != nil || text != "BYE" {
+			t.Fatalf("QUIT = %q, %v", text, err)
+		}
+	})
 }
 
 // readLine reads one reply line without sending anything.
@@ -272,23 +417,40 @@ func TestSyncCompletesDuringSlowBatch(t *testing.T) {
 	}
 }
 
-// TestPipelinedBurst sends a batch of commands in a single write and checks
-// every response arrives, in order — the server flushes its per-connection
-// buffered writer only once the request burst is drained.
+// TestPipelinedBurst sends many requests in a single write and checks every
+// reply arrives, in order, in both codecs — the server flushes its
+// per-connection buffered writer only once the request burst is drained —
+// and that a multi-op request is answered once per key.
 func TestPipelinedBurst(t *testing.T) {
-	addr := startServer(t)
-	c := dial(t, addr)
-	burst := "PUT k1 v1\nPUT k2 v2\nGET k1\nMGET k1 k2 nope\nLEN\nGET nope\n"
-	if _, err := c.conn.Write([]byte(burst)); err != nil {
-		t.Fatal(err)
-	}
-	c.expectLines(t,
-		"OK", "OK",
-		"VAL v1",
-		"VAL v1", "VAL v2", "NIL",
-		"LEN 2",
-		"NIL",
-	)
+	eachCodec(t, func(t *testing.T, binary bool) {
+		c := dialCodec(t, startServer(t), binary)
+		one := func(typ wire.Type, ops ...crafty.KVOp) wire.Request { return wire.Request{Type: typ, Ops: ops} }
+		burst := []wire.Request{
+			one(wire.TPut, puts("k1", "v1")...), one(wire.TPut, puts("k2", "v2")...),
+			one(wire.TGet, gets("k1")...),
+			one(wire.TMGet, gets("k1", "k2", "nope")...),
+			one(wire.TLen),
+			one(wire.TGet, gets("nope")...),
+		}
+		c.send(burst...)
+		c.expect(burst, []wire.Reply{replyOK, replyOK, replyVal("v1"), replyVal("v1"), replyVal("v2"), replyNil, replyUint(2), replyNil})
+
+		const n = 64
+		var keys []string
+		var want []wire.Reply
+		burst = burst[:0]
+		for i := 0; i < n; i++ {
+			keys = append(keys, fmt.Sprintf("k%03d", i))
+			burst = append(burst, one(wire.TPut, puts(keys[i], fmt.Sprintf("v%03d", i))...))
+			want = append(want, replyOK)
+		}
+		burst = append(burst, one(wire.TMGet, gets(keys...)...))
+		for i := 0; i < n; i++ {
+			want = append(want, replyVal(fmt.Sprintf("v%03d", i)))
+		}
+		c.send(burst...)
+		c.expect(burst, want)
+	})
 }
 
 // TestOverlongLineRejected proves a newline-free stream cannot grow one
@@ -358,48 +520,63 @@ func TestConcurrentClients(t *testing.T) {
 	c.expect(t, "LEN", fmt.Sprintf("LEN %d", clients*keys))
 }
 
-// TestSurvivesRestart is the server's acceptance check: data written and
-// synced before an injected power failure is served intact afterwards, and
-// the restarted server keeps accepting writes. SYNC models the group fsync a
-// durable store performs before acknowledging a barrier; without it,
-// recently committed transactions may legitimately roll back whole (the
-// engine's buffered-durability contract), which TestCrashRollsBackWhole
-// checks separately.
+// TestSurvivesRestart is the server's acceptance check, in both codecs: data
+// written and synced before an injected power failure is served intact
+// afterwards — at any survival probability for unfenced words, the worst
+// case (0) included — and the restarted server keeps accepting writes. SYNC
+// models the group fsync a durable store performs before acknowledging a
+// barrier; without it, recently committed transactions may legitimately roll
+// back whole (the engine's buffered-durability contract), which
+// TestCrashRollsBackWhole checks separately.
 func TestSurvivesRestart(t *testing.T) {
-	addr := startServer(t)
-	c := dial(t, addr)
-	const keys = 80
-	for i := 0; i < keys; i++ {
-		c.expect(t, fmt.Sprintf("PUT stable-%d value-%d", i, i), "OK")
-	}
-	c.expect(t, "SYNC", "OK")
-
-	reply := c.roundTrip(t, "CRASH")
-	if !strings.HasPrefix(reply, "OK ") {
-		t.Fatalf("CRASH: %q", reply)
-	}
-	t.Logf("first crash: %s", reply)
-
-	// Same connection, new engine incarnation behind it: all synced data
-	// must be intact.
-	for i := 0; i < keys; i++ {
-		c.expect(t, fmt.Sprintf("GET stable-%d", i), fmt.Sprintf("VAL value-%d", i))
-	}
-	c.expect(t, "LEN", fmt.Sprintf("LEN %d", keys))
-
-	// The restarted server must keep serving writes, and survive a second
-	// crash the same way.
-	for i := 0; i < keys; i++ {
-		c.expect(t, fmt.Sprintf("PUT round2-%d v2-%d", i, i), "OK")
-	}
-	c.expect(t, "SYNC", "OK")
-	if reply := c.roundTrip(t, "CRASH"); !strings.HasPrefix(reply, "OK ") {
-		t.Fatalf("second CRASH: %q", reply)
-	}
-	for i := 0; i < keys; i++ {
-		c.expect(t, fmt.Sprintf("GET stable-%d", i), fmt.Sprintf("VAL value-%d", i))
-		c.expect(t, fmt.Sprintf("GET round2-%d", i), fmt.Sprintf("VAL v2-%d", i))
-	}
+	eachCodec(t, func(t *testing.T, binary bool) {
+		for _, persistProb := range []float64{0.5, 0} {
+			t.Run(fmt.Sprint("persist=", persistProb), func(t *testing.T) {
+				cl := dialTyped(t, startServerPersist(t, persistProb), binary)
+				const keys = 80
+				round := func(prefix string) {
+					t.Helper()
+					for i := 0; i < keys; i++ {
+						if err := cl.Put(fmt.Sprintf("%s-%d", prefix, i), fmt.Sprintf("%s-value-%d", prefix, i)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := cl.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					reply, err := cl.Crash()
+					if err != nil || !strings.HasPrefix(reply, "OK rolled_back=") {
+						t.Fatalf("CRASH: %q, %v", reply, err)
+					}
+					t.Logf("crash after %s: %s", prefix, reply)
+				}
+				intact := func(prefix string) {
+					t.Helper()
+					for i := 0; i < keys; i++ {
+						want := fmt.Sprintf("%s-value-%d", prefix, i)
+						if v, ok, err := cl.Get(fmt.Sprintf("%s-%d", prefix, i)); err != nil || !ok || v != want {
+							t.Fatalf("Get(%s-%d) = %q, %t, %v after the crash; want %q", prefix, i, v, ok, err, want)
+						}
+					}
+				}
+				// Same connection, new engine incarnation behind it: all synced
+				// data must be intact.
+				round("stable")
+				intact("stable")
+				if n, err := cl.Len(); err != nil || n != keys {
+					t.Fatalf("Len = %d, %v; want %d", n, err, keys)
+				}
+				// The restarted server must keep serving writes, and survive a
+				// second crash the same way.
+				round("round2")
+				intact("stable")
+				intact("round2")
+				if cl.Retries() != 0 {
+					t.Errorf("the client retried %d times; the connection should survive a CRASH", cl.Retries())
+				}
+			})
+		}
+	})
 }
 
 // TestBatchAckWaitsForAllOps: a batched request must not complete until
@@ -591,31 +768,11 @@ func TestCrashRollsBackWhole(t *testing.T) {
 	}
 }
 
-// statsField extracts one numeric field from a STATS reply.
-func statsField(t *testing.T, reply, field string) int {
-	t.Helper()
-	for _, tok := range strings.Fields(reply)[1:] {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok {
-			t.Fatalf("malformed STATS token %q in %q", tok, reply)
-		}
-		if k == field {
-			var n int
-			if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
-				t.Fatalf("STATS %s=%q: %v", field, v, err)
-			}
-			return n
-		}
-	}
-	t.Fatalf("STATS reply %q missing field %q", reply, field)
-	return 0
-}
-
 // TestStatsLeakFreeAcrossCrash drives churn with deletes, crashes, and
-// checks the arena occupancy the server reports: live + free must always
-// account for every used word (leaked_words=0), and the high-water mark must
-// not grow across the crash/recovery cycle — the store reclaims blocks that
-// were free at the power failure.
+// checks the arena occupancy the server reports through INFO: live + free
+// must always account for every used word (arena.leaked_words = 0), and the
+// high-water mark must not grow across the crash/recovery cycle — the store
+// reclaims blocks that were free at the power failure.
 func TestStatsLeakFreeAcrossCrash(t *testing.T) {
 	addr := startServer(t)
 	c := dial(t, addr)
@@ -629,23 +786,23 @@ func TestStatsLeakFreeAcrossCrash(t *testing.T) {
 	// one (a rolled-back delete would turn a later re-insert into an update,
 	// whose transient double block would muddy the strict no-growth check).
 	c.expect(t, "SYNC", "OK")
-	before := c.roundTrip(t, "STATS")
-	if leaked := statsField(t, before, "leaked_words"); leaked != 0 {
-		t.Fatalf("leaked %d words before crash: %s", leaked, before)
+	before := c.info(t)
+	if leaked := before["arena.leaked_words"]; leaked != 0 {
+		t.Fatalf("leaked %d words before crash: %v", leaked, before)
 	}
-	usedBefore := statsField(t, before, "used_words")
-	if free := statsField(t, before, "free_words"); free == 0 {
-		t.Fatalf("expected free words after deletes: %s", before)
+	usedBefore := before["arena.used_words"]
+	if free := before["arena.free_words"]; free == 0 {
+		t.Fatalf("expected free words after deletes: %v", before)
 	}
 
 	if reply := c.roundTrip(t, "CRASH"); !strings.HasPrefix(reply, "OK ") {
 		t.Fatalf("CRASH: %q", reply)
 	}
-	after := c.roundTrip(t, "STATS")
-	if leaked := statsField(t, after, "leaked_words"); leaked != 0 {
-		t.Fatalf("leaked %d words across recovery: %s", leaked, after)
+	after := c.info(t)
+	if leaked := after["arena.leaked_words"]; leaked != 0 {
+		t.Fatalf("leaked %d words across recovery: %v", leaked, after)
 	}
-	if usedAfter := statsField(t, after, "used_words"); usedAfter > usedBefore {
+	if usedAfter := after["arena.used_words"]; usedAfter > usedBefore {
 		t.Fatalf("arena grew across crash: used %d -> %d", usedBefore, usedAfter)
 	}
 	// Re-inserting the deleted keys is served from reclaimed space without
@@ -655,11 +812,11 @@ func TestStatsLeakFreeAcrossCrash(t *testing.T) {
 	for i := 0; i < 60; i += 2 {
 		c.expect(t, fmt.Sprintf("PUT key%02d value-%02d-abcdefghijklmnop", i, i), "OK")
 	}
-	final := c.roundTrip(t, "STATS")
-	if leaked := statsField(t, final, "leaked_words"); leaked != 0 {
-		t.Fatalf("leaked %d words after rewrite: %s", leaked, final)
+	final := c.info(t)
+	if leaked := final["arena.leaked_words"]; leaked != 0 {
+		t.Fatalf("leaked %d words after rewrite: %v", leaked, final)
 	}
-	if usedFinal := statsField(t, final, "used_words"); usedFinal > usedBefore {
+	if usedFinal := final["arena.used_words"]; usedFinal > usedBefore {
 		t.Fatalf("arena grew refilling reclaimed space: used %d -> %d", usedBefore, usedFinal)
 	}
 }

@@ -196,6 +196,8 @@ func newServerMetrics(s *server) *serverMetrics {
 		emit("arena.free_words", int64(ast.FreeWords))
 		emit("arena.used_words", int64(ast.UsedWords))
 		emit("arena.capacity_words", int64(ast.DataWords))
+		// Words the allocator can no longer account for: nonzero is a leak.
+		emit("arena.leaked_words", int64(ast.UsedWords-ast.LiveWords-ast.FreeWords))
 		emit("kv.rehash.zeroing_shards", int64(zeroing))
 		emit("kv.rehash.migrating_shards", int64(migrating))
 	})
@@ -216,7 +218,7 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// infoText renders the merged snapshot for the INFO wire command: a header
+// infoText renders the merged snapshot for the INFO command: a header
 // with the line count, then one "name value" line per sample, so clients can
 // read exactly the right number of lines without a terminator convention.
 func (s *server) infoText() string {

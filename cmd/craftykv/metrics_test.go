@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"crafty/internal/wire"
 )
 
 // startInstrumented is startServerCfg returning the server too, so tests can
@@ -156,36 +154,6 @@ func TestInfoOverTCP(t *testing.T) {
 	}
 }
 
-// infoBin sends INFO over a binary connection and parses the TText reply —
-// the same "INFO <n>" header plus n "name value" lines the text protocol
-// carries, in one frame.
-func (c *binClient) info(t *testing.T) map[string]int64 {
-	t.Helper()
-	c.enc.Request0(wire.TInfo)
-	typ, payload := c.next(t)
-	if typ != wire.TText {
-		t.Fatalf("INFO reply: got %v, want TText", typ)
-	}
-	lines := strings.Split(string(payload), "\n")
-	n, err := strconv.Atoi(strings.TrimPrefix(lines[0], "INFO "))
-	if err != nil || n != len(lines)-1 {
-		t.Fatalf("INFO header %q over %d lines (%v)", lines[0], len(lines)-1, err)
-	}
-	m := make(map[string]int64, n)
-	for _, line := range lines[1:] {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("metric line %q", line)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			t.Fatalf("metric line %q: %v", line, err)
-		}
-		m[fields[0]] = v
-	}
-	return m
-}
-
 // TestMetricsHTTP serves the -metrics listener and checks the three
 // observation surfaces agree: /metrics returns the same snapshot as INFO as
 // flat JSON, and INFO over the binary protocol reports exactly the same key
@@ -251,12 +219,17 @@ func TestMetricsHTTP(t *testing.T) {
 
 	// INFO over the binary protocol: drive some frames first so the wire.*
 	// counters move, then compare key sets both ways.
-	bc := dialBin(t, addr, wire.Version)
-	bc.enc.Put([]byte("bin-key"), []byte("bin-value"))
-	bc.expect(t, wire.TOK, "")
-	bc.enc.Get([]byte("bin-key"))
-	bc.expect(t, wire.TVal, "bin-value")
-	binInfo := bc.info(t)
+	bc := dialTyped(t, addr, true)
+	if err := bc.Put("bin-key", "bin-value"); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := bc.Get("bin-key"); err != nil || !ok || v != "bin-value" {
+		t.Fatalf("binary Get = %q, %t, %v", v, ok, err)
+	}
+	binInfo, err := bc.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name := range textInfo {
 		if _, ok := binInfo[name]; !ok {
 			t.Errorf("INFO over binary is missing %q (present over text)", name)

@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -34,6 +35,7 @@ import (
 
 	"crafty"
 	"crafty/internal/repl"
+	"crafty/internal/wire"
 )
 
 // replPosKey is the replica's durable stream-position record: "<gen> <seq>".
@@ -319,10 +321,11 @@ type kvApplier struct {
 	sessEpoch atomic.Uint64
 }
 
-// runOps submits one request carrying ops and waits for it; any per-op
-// error fails the whole call.
-func (a *kvApplier) runOps(build func(req *request)) error {
-	req := newRequest(cmdMPut) // kind is irrelevant: nothing renders this request
+// runOps submits one request carrying the ops build adds and waits for it;
+// any per-op error fails the whole call. read, if non-nil, extracts results
+// before the request returns to the pool.
+func (a *kvApplier) runOps(build, read func(req *request)) error {
+	req := newRequest(wire.TMPut) // the type is irrelevant: nothing renders this request
 	build(req)
 	if len(req.ops) == 0 {
 		requestPool.Put(req)
@@ -337,6 +340,9 @@ func (a *kvApplier) runOps(build func(req *request)) error {
 			break
 		}
 	}
+	if err == nil && read != nil {
+		read(req)
+	}
 	requestPool.Put(req)
 	return err
 }
@@ -346,8 +352,8 @@ func (a *kvApplier) runOps(build func(req *request)) error {
 // window's highest and suffix rollback cannot strand it ahead of the data.
 func (a *kvApplier) writePos(seq, gen uint64) error {
 	return a.runOps(func(req *request) {
-		req.addOp(crafty.KVPut, string(replPosKey), fmt.Sprintf("%d %d", gen, seq))
-	})
+		req.addOp(crafty.KVPut, replPosKey, fmt.Appendf(nil, "%d %d", gen, seq))
+	}, nil)
 }
 
 // poisonPos durably deletes the position record after a crash landed inside
@@ -357,8 +363,8 @@ func (a *kvApplier) poisonPos() {
 	for {
 		e0 := a.s.crashEpoch.Load()
 		err := a.runOps(func(req *request) {
-			req.addOp(crafty.KVDelete, string(replPosKey), "")
-		})
+			req.addOp(crafty.KVDelete, replPosKey, nil)
+		}, nil)
 		if err == nil {
 			err = a.s.sync()
 		}
@@ -389,13 +395,13 @@ func (a *kvApplier) ApplyGroups(gs []repl.Group) error {
 		for _, g := range gs {
 			for _, op := range g.Ops {
 				if op.Delete {
-					req.addOp(crafty.KVDelete, string(op.Key), "")
+					req.addOp(crafty.KVDelete, op.Key, nil)
 				} else {
-					req.addOp(crafty.KVPut, string(op.Key), string(op.Value))
+					req.addOp(crafty.KVPut, op.Key, op.Value)
 				}
 			}
 		}
-	})
+	}, nil)
 	if err == nil {
 		err = a.writePos(gs[len(gs)-1].Seq, a.curGen.Load())
 	}
@@ -434,15 +440,15 @@ func (a *kvApplier) ApplySnapshot(entries []repl.Entry, seq, gen uint64) error {
 	err := a.runOps(func(req *request) {
 		for k := range local {
 			if _, ok := want[k]; !ok {
-				req.addOp(crafty.KVDelete, k, "")
+				req.addOp(crafty.KVDelete, []byte(k), nil)
 			}
 		}
 		for k, v := range want {
 			if lv, ok := local[k]; !ok || lv != v {
-				req.addOp(crafty.KVPut, k, v)
+				req.addOp(crafty.KVPut, []byte(k), []byte(v))
 			}
 		}
-	})
+	}, nil)
 	if err == nil {
 		err = a.writePos(seq, gen)
 	}
@@ -492,8 +498,8 @@ func (a *kvApplier) Position() (seq, gen uint64, err error) {
 		e0 := a.s.crashEpoch.Load()
 		var found bool
 		var val string
-		rerr := a.runOpsRead(func(req *request) {
-			req.addOp(crafty.KVGet, string(replPosKey), "")
+		rerr := a.runOps(func(req *request) {
+			req.addOp(crafty.KVGet, replPosKey, nil)
 		}, func(req *request) {
 			found = req.res[0].found
 			val = string(req.res[0].val)
@@ -516,29 +522,8 @@ func (a *kvApplier) Position() (seq, gen uint64, err error) {
 	}
 }
 
-// runOpsRead is runOps with a result extractor run before the request is
-// pooled.
-func (a *kvApplier) runOpsRead(build func(req *request), read func(req *request)) error {
-	req := newRequest(cmdMPut)
-	build(req)
-	a.s.submit(req)
-	<-req.done
-	var err error
-	for i := range req.res {
-		if e := req.res[i].err; e != nil {
-			err = fmt.Errorf("op %d: %w", i, e)
-			break
-		}
-	}
-	if err == nil {
-		read(req)
-	}
-	requestPool.Put(req)
-	return err
-}
-
-// replicaRefusal is the reply replicated mutations get on a replica.
-const replicaRefusal = "ERR read-only replica (PROMOTE to accept writes)"
+// errReadOnlyReplica is what client mutations are answered with on a replica.
+var errReadOnlyReplica = errors.New("read-only replica (PROMOTE to accept writes)")
 
 // writesRefused reports whether client mutations should be refused
 // (replica role).

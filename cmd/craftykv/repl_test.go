@@ -212,9 +212,10 @@ func TestReplicationFollowAndRefusal(t *testing.T) {
 	}
 	// The replica holds the replayed keys plus its reserved position record.
 	rc.expect(t, "LEN", fmt.Sprintf("LEN %d", keys+1))
-	rc.expect(t, "PUT f-0 hijack", replicaRefusal)
-	rc.expect(t, "MPUT a 1 b 2", replicaRefusal)
-	rc.expect(t, "DEL f-0", replicaRefusal)
+	refusal := "ERR " + errReadOnlyReplica.Error()
+	rc.expect(t, "PUT f-0 hijack", refusal)
+	rc.expect(t, "MPUT a 1 b 2", refusal)
+	rc.expect(t, "DEL f-0", refusal)
 	rc.expect(t, "GET f-0", "VAL v-0")
 
 	if info := rc.roundTrip(t, "REPLINFO"); !strings.Contains(info, "role=replica") {

@@ -7,33 +7,21 @@
 // connections commits in the worker's shard groups, paying the engine's
 // per-transaction toll (Log-phase HTM commit, LOGGED/COMMITTED marker pair,
 // batched flush) once per group instead of once per op. Completions are
-// routed back to each connection's pipelined writer, which renders responses
-// strictly in that connection's request order.
+// routed back to each connection's pipelined writer, which renders replies
+// strictly in that connection's request order. The scheduler deals in
+// wire.Request and wire.Reply values only; which codec carried them is the
+// connection's business (server.go).
 package main
 
 import (
-	"bufio"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"crafty"
 	"crafty/internal/repl"
-)
-
-// cmdKind selects how a completed request renders.
-type cmdKind uint8
-
-const (
-	cmdInline cmdKind = iota // pre-rendered text (errors, OK-style acks)
-	cmdPut                   // OK | ERR
-	cmdGet                   // VAL v | NIL | ERR
-	cmdDel                   // OK | NIL | ERR
-	cmdMGet                  // one VAL/NIL line per key
-	cmdMPut                  // OK <n> | ERR (first failure)
-	cmdMDel                  // one OK/NIL line per key
-	cmdLen                   // LEN <n> | ERR
-	cmdHello                 // binary handshake ack (wire.go); n is the version
+	"crafty/internal/wire"
 )
 
 // opResult is one operation's outcome, copied out of the worker's reused
@@ -44,23 +32,41 @@ type opResult struct {
 	err   error
 }
 
-// request is one wire command in flight: its parsed operations, their
-// results, and the completion signal the connection's writer waits on.
-// Requests are pooled; all slices are reused across requests.
+// reply is the operation's answer: ERR on failure, NIL for an absent key,
+// otherwise hit — what the command owes a present key.
+func (r *opResult) reply(hit wire.Reply) wire.Reply {
+	switch {
+	case r.err != nil:
+		return wire.Reply{Kind: wire.TErr, Msg: r.err.Error()}
+	case !r.found:
+		return wire.Reply{Kind: wire.TNil}
+	}
+	return hit
+}
+
+// request is one command in flight: its operations, their results, and the
+// completion signal the connection's writer waits on. Requests are pooled;
+// all slices are reused across requests.
 type request struct {
-	cmd  cmdKind
-	text string // cmdInline rendering
+	// typ is the command (a row of wire.Commands); zero is the no-output
+	// marker of connReader.waitPrior.
+	typ wire.Type
+	// reply, when its Kind is set, answers the command outright — a refusal,
+	// a codec error, a control command's result — and the request does no
+	// scheduler work: it rides the connection's pending queue only so the
+	// reply stays ordered with the operations in flight.
+	reply wire.Reply
 
 	ops []crafty.KVOp
 	res []opResult
 	buf []byte // backing storage for the ops' copied keys and values
 
-	n         uint64 // cmdLen result
-	err       error  // request-level failure (cmdLen)
+	n         uint64 // LEN result
+	err       error  // request-level failure (LEN)
 	remaining atomic.Int32
 	done      chan struct{}
 
-	// t0 is the parse-time stamp for the enqueue→reply latency histogram,
+	// t0 is the decode-time stamp for the enqueue→reply latency histogram,
 	// taken and read strictly outside any transaction.
 	t0 time.Time
 
@@ -73,10 +79,10 @@ type request struct {
 var requestPool = sync.Pool{New: func() any { return &request{} }}
 
 // newRequest draws a reset request from the pool.
-func newRequest(cmd cmdKind) *request {
+func newRequest(typ wire.Type) *request {
 	r := requestPool.Get().(*request)
-	r.cmd = cmd
-	r.text = ""
+	r.typ = typ
+	r.reply = wire.Reply{}
 	r.ops = r.ops[:0]
 	r.res = r.res[:0]
 	r.buf = r.buf[:0]
@@ -89,59 +95,25 @@ func newRequest(cmd cmdKind) *request {
 	return r
 }
 
-// inlineRequest is a request carrying fixed response text and no scheduler
-// work; it rides the connection's pending queue so immediate replies stay
-// ordered with in-flight operations. submit completes it (push hands every
-// request to submit; callers bypassing push must close done themselves).
-func inlineRequest(text string) *request {
-	r := newRequest(cmdInline)
-	r.text = text
-	return r
-}
-
-// copyBytes copies s into the request's backing buffer and returns the
+// copyBuf copies b into the request's backing buffer and returns the
 // aliasing slice (safe across buffer growth: earlier slices keep the old
-// backing array alive). Taking a string avoids a throwaway []byte(token)
-// allocation per parsed token.
-func (r *request) copyBytes(s string) []byte {
-	off := len(r.buf)
-	r.buf = append(r.buf, s...)
-	return r.buf[off : off+len(s) : off+len(s)]
-}
-
-// copyBuf is copyBytes over a byte token — the text tokenizer's and the
-// binary frame decoder's entry point; both hand in slices aliasing a
-// connection read buffer that is reused after dispatch, so this copy is the
-// aliasing boundary.
+// backing array alive). Both codecs decode zero-copy, handing in slices that
+// alias a connection read buffer reused after dispatch, so this copy — the
+// only one between the socket and the store — is the aliasing boundary.
 func (r *request) copyBuf(b []byte) []byte {
 	off := len(r.buf)
 	r.buf = append(r.buf, b...)
 	return r.buf[off : off+len(b) : off+len(b)]
 }
 
-// addOp appends one operation, copying key and value; an empty value means
-// none (wire tokens are never empty).
-func (r *request) addOp(kind crafty.KVOpKind, key, value string) {
-	op := crafty.KVOp{Kind: kind, Key: r.copyBytes(key)}
-	if value != "" {
-		op.Value = r.copyBytes(value)
-	}
-	r.pushOp(op)
-}
-
-// addOpBytes is addOp over byte tokens.
-func (r *request) addOpBytes(kind crafty.KVOpKind, key, value []byte) {
+// addOp appends one operation and its result slot, copying key and value; an
+// empty value means none. The slot is recycled in place when the pooled slice
+// has capacity, so its value buffer's backing array survives across requests.
+func (r *request) addOp(kind crafty.KVOpKind, key, value []byte) {
 	op := crafty.KVOp{Kind: kind, Key: r.copyBuf(key)}
 	if len(value) > 0 {
 		op.Value = r.copyBuf(value)
 	}
-	r.pushOp(op)
-}
-
-// pushOp appends op and its result slot. The slot is recycled in place when
-// the pooled slice has capacity, so its value buffer's backing array survives
-// across requests.
-func (r *request) pushOp(op crafty.KVOp) {
 	r.ops = append(r.ops, op)
 	if n := len(r.res); n < cap(r.res) {
 		r.res = r.res[:n+1]
@@ -158,7 +130,7 @@ func (r *request) pushOp(op crafty.KVOp) {
 // whole-store read (LEN), or a durability barrier.
 type task struct {
 	req *request
-	op  int // index into req.ops; -1 for barriers and cmdLen
+	op  int // index into req.ops; -1 for barriers and LEN
 
 	// barrier, when non-nil, asks the worker to rendezvous with the other
 	// workers and then quiesce its own thread's log; errSlot receives a
@@ -210,16 +182,16 @@ func (s *server) enqueue(req *request, op int) {
 	w.queue <- task{req: req, op: op}
 }
 
-// submit enqueues every operation of req; requests with no keyed operations
-// complete immediately.
+// submit enqueues every operation of req; requests with no scheduler work
+// (outright replies, the waitPrior marker) complete immediately.
 func (s *server) submit(req *request) {
-	if len(req.ops) == 0 && req.cmd != cmdLen {
-		close(req.done)
-		return
-	}
-	if req.cmd == cmdLen {
+	if req.reply.Kind == 0 && req.typ == wire.TLen {
 		req.remaining.Store(1)
 		s.workers[0].queue <- task{req: req, op: -1}
+		return
+	}
+	if len(req.ops) == 0 {
+		close(req.done)
 		return
 	}
 	// Count every operation before enqueueing any. Workers start completing
@@ -394,71 +366,47 @@ func (r *request) complete() {
 	}
 }
 
-// render writes the completed request's response lines.
-func render(out *bufio.Writer, req *request) {
-	reply := func(format string, args ...any) { writeLinef(out, format, args...) }
-	switch req.cmd {
-	case cmdInline:
-		if req.text == "" {
-			return // no-output marker (connReader.waitPrior)
-		}
-		out.WriteString(req.text)
-		out.WriteByte('\n')
-	case cmdPut:
-		if err := req.res[0].err; err != nil {
-			reply("ERR %v", err)
-		} else {
-			reply("OK")
-		}
-	case cmdGet:
-		renderGet(out, &req.res[0])
-	case cmdMGet:
+// replyWriter is the reply half of a codec — wire.Encoder writes frames,
+// wire.LineEncoder lines — so rendering is written once, over Reply values.
+// Write errors are bufio-sticky; the connection writer's Flush sees them.
+type replyWriter interface {
+	WriteReply(cmd wire.Type, r wire.Reply) error
+}
+
+// render writes the completed request's replies, in the shape its command's
+// table row promises.
+func render(w replyWriter, req *request) {
+	if req.reply.Kind != 0 {
+		w.WriteReply(req.typ, req.reply)
+		return
+	}
+	cmd, ok := wire.Lookup(req.typ)
+	if !ok {
+		return // no-output marker (connReader.waitPrior)
+	}
+	switch cmd.Reply {
+	case wire.ReplyVals:
 		for i := range req.res {
-			renderGet(out, &req.res[i])
+			r := &req.res[i]
+			w.WriteReply(req.typ, r.reply(wire.Reply{Kind: wire.TVal, Val: r.val}))
 		}
-	case cmdDel:
-		renderDel(out, &req.res[0])
-	case cmdMDel:
+	case wire.ReplyOK, wire.ReplyFound:
 		for i := range req.res {
-			renderDel(out, &req.res[i])
+			w.WriteReply(req.typ, req.res[i].reply(wire.Reply{Kind: wire.TOK}))
 		}
-	case cmdMPut:
+	case wire.ReplyCount:
 		for i := range req.res {
 			if err := req.res[i].err; err != nil {
-				reply("ERR op %d: %v", i, err)
+				w.WriteReply(req.typ, wire.Reply{Kind: wire.TErr, Msg: fmt.Sprintf("op %d: %v", i, err)})
 				return
 			}
 		}
-		reply("OK %d", len(req.res))
-	case cmdLen:
+		w.WriteReply(req.typ, wire.Reply{Kind: wire.TUint, N: uint64(len(req.res))})
+	case wire.ReplyUint:
 		if req.err != nil {
-			reply("ERR %v", req.err)
+			w.WriteReply(req.typ, wire.Reply{Kind: wire.TErr, Msg: req.err.Error()})
 		} else {
-			reply("LEN %d", req.n)
+			w.WriteReply(req.typ, wire.Reply{Kind: wire.TUint, N: req.n})
 		}
-	}
-}
-
-func renderGet(out *bufio.Writer, r *opResult) {
-	switch {
-	case r.err != nil:
-		writeLinef(out, "ERR %v", r.err)
-	case !r.found:
-		writeLinef(out, "NIL")
-	default:
-		out.WriteString("VAL ")
-		out.Write(r.val)
-		out.WriteByte('\n')
-	}
-}
-
-func renderDel(out *bufio.Writer, r *opResult) {
-	switch {
-	case r.err != nil:
-		writeLinef(out, "ERR %v", r.err)
-	case !r.found:
-		writeLinef(out, "NIL")
-	default:
-		writeLinef(out, "OK")
 	}
 }

@@ -1,0 +1,697 @@
+// The craftykv server: the crash-consistent kv subsystem on a Crafty engine
+// with persistence tracking enabled, served over TCP to concurrent client
+// connections, and surviving a power failure.
+//
+// One command model, two codecs (internal/wire): a connection's first byte
+// picks the text codec or the frame codec, its reader decodes each request
+// into a wire.Request, and from there on nothing depends on the codec —
+// dispatch (below) runs the request, the sharded scheduler (scheduler.go)
+// executes its operations, and render writes wire.Reply values through the
+// connection's reply encoder. The command table in internal/wire — which
+// commands exist, how each is spelled, whether it mutates, what its replies
+// look like — is documented in DESIGN.md §14.
+//
+// Requests flow through the scheduler: each connection's reader routes a
+// request's operations onto per-worker queues by key shard; each worker
+// drains its queue and commits the drained mutations — from however many
+// connections — in one kv group commit (Store.Apply), so concurrent write
+// traffic pays the engine's per-transaction costs once per shard group
+// instead of once per operation. Replies are routed back to each
+// connection's writer goroutine, which renders them strictly in request
+// order and flushes once per pipelined burst.
+//
+// Because the NVM is emulated in process memory, a "restart" is modelled the
+// way the crash-consistency tests model it: the CRASH command injects a power
+// failure (an adversarial persistence policy decides which unflushed words
+// survive), runs the full recovery flow — crafty.Recover, crafty.Reopen,
+// AdvanceClock, ReopenKV with index verification — and resumes serving the
+// recovered store on the same listener. Clients observe exactly what they
+// would observe across a real restart: every committed-and-persisted write
+// survives; recently committed transactions may roll back whole.
+//
+// With a replication listener the server additionally streams its group
+// commits to replicas (repl.go); as a replica it follows a primary and
+// refuses client mutations until PROMOTE. Under ReplSync, a SYNC reply
+// further means the replica has durably acknowledged everything the barrier
+// covers.
+package main
+
+import (
+	"bufio"
+	"fmt"
+	"log"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"crafty"
+	"crafty/internal/wire"
+)
+
+// config sizes a server.
+type config struct {
+	Shards      int
+	Slots       int
+	HeapWords   int
+	ArenaWords  int
+	Pool        int
+	Drain       int
+	Queue       int
+	PersistProb float64
+	// Paranoid forces every CRASH recovery onto the full verify + reconcile
+	// path even when a checkpoint watermark would bound it.
+	Paranoid bool
+
+	// ConnTimeout bounds how long one connection read or flush may sit; 0
+	// disables. MaxConns bounds accepted client connections; 0 disables.
+	ConnTimeout time.Duration
+	MaxConns    int
+
+	// Replication (repl.go): a repl-listen address and/or a primary to
+	// replicate from; either one enables the replState. ReplDial is the
+	// drills' netfault injection point (nil = plain TCP).
+	ReplListen      string
+	ReplicaOf       string
+	ReplSync        bool
+	ReplSyncTimeout time.Duration
+	ReplLogCap      int
+	ReplDial        func(addr string) (net.Conn, error)
+}
+
+// replicated reports whether this config enables replication.
+func (c config) replicated() bool { return c.ReplListen != "" || c.ReplicaOf != "" }
+
+// server owns the heap, the engine, the store, and the scheduler: one worker
+// goroutine per pool slot, each bound to its own engine thread. CRASH takes
+// the write lock (waiting out every worker's in-flight batch, as a power
+// failure freezes the machine between transactions), rebuilds the engine
+// over the surviving heap, and re-registers the worker threads; queued
+// operations then drain against the recovered store.
+type server struct {
+	cfg    config
+	heap   *crafty.Heap
+	layout crafty.Layout
+	root   crafty.Addr
+
+	// router maps keys to shards; the mapping depends only on the immutable
+	// shard count, so it is safe to use without the lock across crashes.
+	router *crafty.KV
+
+	workers []*worker
+
+	mu        sync.RWMutex
+	eng       *crafty.Engine
+	store     *crafty.KV
+	threads   []crafty.Thread
+	crashSeed int64
+
+	// syncMu serializes SYNC barriers; see server.sync.
+	syncMu sync.Mutex
+
+	// recovering gates new connections while a CRASH holds the write lock:
+	// they get an immediate, explicit error instead of hanging behind the
+	// recovery.
+	recovering atomic.Bool
+
+	// obs is the server's metrics block (metrics.go); never nil once
+	// newServer returns. connSeq hands each connection a counter stripe.
+	obs     *serverMetrics
+	connSeq atomic.Uint64
+
+	// repl is the replication state (repl.go); nil unless the config names
+	// a repl listener or a primary to follow. crashEpoch counts completed
+	// CRASH recoveries so the replica applier can detect one splitting an
+	// apply window; conns counts accepted client connections for -max-conns.
+	repl       *replState
+	crashEpoch atomic.Uint64
+	conns      atomic.Int64
+}
+
+func newServer(cfg config) (*server, error) {
+	if cfg.Pool <= 0 {
+		cfg.Pool = 8
+	}
+	if cfg.Drain <= 0 {
+		cfg.Drain = 64
+	}
+	if cfg.Queue <= 0 {
+		cfg.Queue = 1024
+	}
+	heap := crafty.NewHeap(crafty.HeapConfig{
+		Words:            cfg.HeapWords,
+		PersistLatency:   crafty.NoLatency,
+		TrackPersistence: true,
+	})
+	eng, err := crafty.New(heap, crafty.Config{ArenaWords: cfg.ArenaWords})
+	if err != nil {
+		return nil, err
+	}
+	// Validate the pool against the engine's thread capacity up front: the
+	// log directory is sized at engine creation, so a pool that exceeds it
+	// would otherwise only fail at the first over-limit registration.
+	if cfg.Pool > eng.MaxThreads() {
+		return nil, fmt.Errorf("craftykv: -pool %d exceeds the engine's thread capacity %d (Config.MaxThreads)",
+			cfg.Pool, eng.MaxThreads())
+	}
+	s := &server{cfg: cfg, heap: heap, layout: eng.Layout(), eng: eng, crashSeed: 1}
+	s.registerThreads()
+	store, err := crafty.NewKV(eng, s.threads[0], crafty.KVConfig{
+		Shards:               cfg.Shards,
+		InitialSlotsPerShard: cfg.Slots,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.store = store
+	s.router = store
+	s.root = store.Root()
+	// Make the store's creation durable before serving: recovery always
+	// rolls back the newest sequence of the least-advanced thread (its
+	// write-backs may not have completed), so without this quiesce a crash
+	// arriving before any synced traffic could undo the store header
+	// transaction itself and recovery would find no store at the root.
+	if err := syncThread(s.threads[0], s.root); err != nil {
+		return nil, err
+	}
+	// Create every worker before building the metrics block (their
+	// queue-depth gauges close over the queues), and build it before any
+	// worker goroutine starts (workers record drained batch sizes).
+	for i := 0; i < cfg.Pool; i++ {
+		s.workers = append(s.workers, &worker{srv: s, id: i, queue: make(chan task, cfg.Queue)})
+	}
+	// The replication state must exist before the metrics block (which
+	// registers its instruments) and before the workers start (which tap
+	// batches into its log).
+	if cfg.replicated() {
+		s.repl = newReplState(s, cfg)
+	}
+	s.obs = newServerMetrics(s)
+	for _, w := range s.workers {
+		go w.run()
+	}
+	return s, nil
+}
+
+// registerThreads (re)registers one engine thread per worker on the current
+// engine. Register reuses the persistent log directory slots across engine
+// incarnations, so repeated crashes do not leak heap space.
+func (s *server) registerThreads() {
+	s.threads = make([]crafty.Thread, s.cfg.Pool)
+	for i := range s.threads {
+		s.threads[i] = s.eng.Register()
+	}
+}
+
+// syncThread quiesces one engine thread's log, making every transaction it
+// has committed rollback-proof (core.Thread.SyncDurable: a drained empty log
+// sequence — the direct fsync primitive, no transaction and no conflicts
+// with concurrently syncing workers). The marker-transaction fallback covers
+// hypothetical engines without SyncDurable; craftykv always runs the Crafty
+// engine, which has it.
+func syncThread(th crafty.Thread, root crafty.Addr) error {
+	if q, ok := th.(interface{ SyncDurable() error }); ok {
+		return q.SyncDurable()
+	}
+	return th.Atomic(func(tx crafty.Tx) error {
+		tx.Store(root, tx.Load(root))
+		return nil
+	})
+}
+
+// sync is the scheduler barrier: it hands every worker a barrier task, waits
+// for all of them to finish the operations queued ahead of it (the
+// rendezvous), releases them to quiesce their own threads' logs
+// (syncThread), and waits for the quiesces. The two phases matter: recovery
+// rolls back every sequence with ts >= R, where R is the minimum over
+// threads of the newest persisted sequence, so every quiesce timestamp must
+// postdate every covered commit on every worker — otherwise one worker's
+// early marker drags R below another worker's acknowledged write and the
+// next crash undoes it. Operations that arrive behind the barrier just
+// queue as usual and the barrier never waits on them; syncMu keeps two
+// connections' barriers from interleaving their rendezvous (task order can
+// differ per queue, which would deadlock the arrival phase).
+func (s *server) sync() error {
+	return s.syncWith(nil)
+}
+
+// syncWith is the barrier with an optional hook run at the fully quiesced
+// point: every worker has synced its log and none has resumed, so no
+// transaction is in flight and nothing committed can roll back — the
+// precondition KV.Checkpoint documents. The hook is skipped (and its error
+// slot left nil) if any quiesce failed, since a watermark over an unsynced
+// state would be unsound.
+func (s *server) syncWith(hook func() error) error {
+	// The barrier runs no transaction of its own, so timing it here is
+	// off-path; the wait covers the serialization behind syncMu too, which is
+	// what a client blocked on SYNC actually experiences.
+	t0 := time.Now()
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	defer func() {
+		s.obs.syncs.Inc(0)
+		s.obs.syncWaitNs.ObserveSince(t0)
+	}()
+	b := &syncBarrier{release: make(chan struct{})}
+	b.arrive.Add(len(s.workers))
+	b.done.Add(len(s.workers))
+	if hook != nil {
+		b.resume = make(chan struct{})
+		b.quiesced.Add(len(s.workers))
+	}
+	errs := make([]error, len(s.workers))
+	for i, w := range s.workers {
+		w.queue <- task{barrier: b, errSlot: &errs[i]}
+	}
+	b.arrive.Wait()
+	close(b.release)
+	var hookErr error
+	if hook != nil {
+		b.quiesced.Wait()
+		ok := true
+		for _, err := range errs {
+			if err != nil {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			hookErr = hook()
+		}
+		close(b.resume)
+	}
+	b.done.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return hookErr
+}
+
+// checkpoint runs one incremental checkpoint under the barrier's quiesced
+// window: verify the shards dirtied since the last checkpoint, coalesce the
+// arena, persist the watermark, advance the epoch. The next CRASH's reopen
+// then verifies only what was dirtied after this point.
+func (s *server) checkpoint() (crafty.KVCheckpointReport, error) {
+	var rep crafty.KVCheckpointReport
+	err := s.syncWith(func() error {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		var err error
+		rep, err = s.store.Checkpoint(s.eng)
+		return err
+	})
+	return rep, err
+}
+
+// startCheckpointer runs checkpoints on a fixed cadence until stop closes.
+// Each pass costs one SYNC barrier plus work proportional to the shards
+// dirtied since the previous pass.
+func (s *server) startCheckpointer(interval time.Duration, stop chan struct{}) {
+	go func() {
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				rep, err := s.checkpoint()
+				if err != nil {
+					log.Printf("craftykv: checkpoint: %v", err)
+					continue
+				}
+				log.Printf("craftykv: checkpoint seq=%d epoch=%d dirty_shards=%d coalesced=%d",
+					rep.Seq, rep.Epoch, rep.DirtyShards, rep.Coalesced)
+			}
+		}
+	}()
+}
+
+// crash injects a power failure and runs the full recovery flow, replacing
+// the engine, store, and worker threads. While it runs, s.recovering gates
+// new connections (they get a clear "recovering" error instead of queueing
+// behind the write lock), and each recovery phase's wall time is logged.
+func (s *server) crash() (rolledBack int, entries uint64, rep crafty.KVReopenReport, err error) {
+	s.recovering.Store(true)
+	defer s.recovering.Store(false)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+
+	s.eng.Close()
+	s.crashSeed++
+	s.heap.Crash(crafty.NewRandomCrashPolicy(s.crashSeed, s.cfg.PersistProb))
+	start := time.Now()
+	report, err := crafty.Recover(s.heap, s.layout)
+	if err != nil {
+		return 0, 0, rep, fmt.Errorf("recover: %w", err)
+	}
+	rollbackTime := time.Since(start)
+	start = time.Now()
+	eng, err := crafty.Reopen(s.heap, s.layout, crafty.Config{ArenaWords: s.cfg.ArenaWords})
+	if err != nil {
+		return 0, 0, rep, fmt.Errorf("reopen engine: %w", err)
+	}
+	eng.AdvanceClock(report.MaxTimestamp)
+	engineTime := time.Since(start)
+	start = time.Now()
+	store, rep, err := crafty.ReopenKVWith(eng, s.root, crafty.KVReopenOptions{Paranoid: s.cfg.Paranoid})
+	if err != nil {
+		return 0, 0, rep, fmt.Errorf("reopen kv (index verification): %w", err)
+	}
+	indexTime := time.Since(start)
+	path := "bounded"
+	if rep.FullVerify {
+		path = "full (" + rep.FallbackReason + ")"
+	}
+	log.Printf("craftykv: recovery: rollback %v (%d sequences), engine reopen %v, index %v (%s, %d/%d shards verified)",
+		rollbackTime, report.SequencesRolledBack, engineTime, indexTime, path, rep.VerifiedShards, rep.Shards)
+	s.obs.crashes.Inc(0)
+	s.obs.recoveryNs.Observe((rollbackTime + engineTime + indexTime).Nanoseconds())
+	// Re-adopt the startup metrics blocks so the engine/store counters keep
+	// accumulating across incarnations instead of resetting with each crash.
+	eng.AdoptMetrics(s.obs.engM)
+	store.AdoptMetrics(s.obs.kvM)
+	s.eng = eng
+	s.store = store
+	s.registerThreads()
+
+	// The reopen already verified the index (all of it, or the dirty shards
+	// against the watermark); Len is a cheap read-only transaction over the
+	// shard headers.
+	entries, err = store.Len(s.threads[0])
+	if err != nil {
+		return 0, 0, rep, err
+	}
+	// Replication aftermath (repl.go): bump the crash epoch, and as primary
+	// invalidate the group log and sever replicas — streamed groups may be
+	// among the rolled-back suffix.
+	s.onCrashRecovered()
+	return report.SequencesRolledBack, entries, rep, nil
+}
+
+func (s *server) serve(l net.Listener) error {
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			return err
+		}
+		// A connection arriving mid-recovery gets a clear error instead of
+		// hanging behind the crash handler's write lock. Established
+		// connections keep their queued work; it drains against the
+		// recovered store.
+		if s.recovering.Load() {
+			go func(conn net.Conn) {
+				fmt.Fprintf(conn, "ERR recovering, retry shortly\n")
+				conn.Close()
+			}(conn)
+			continue
+		}
+		// The accept loop is the only goroutine that increments, so the
+		// check-then-add pair cannot race another accept; handle decrements.
+		if s.cfg.MaxConns > 0 && s.conns.Load() >= int64(s.cfg.MaxConns) {
+			s.obs.connsRefused.Inc(0)
+			go func(conn net.Conn) {
+				fmt.Fprintf(conn, "ERR too many connections\n")
+				conn.Close()
+			}(conn)
+			continue
+		}
+		s.conns.Add(1)
+		go s.handle(conn)
+	}
+}
+
+// handle runs one connection: the reader decodes and submits requests, the
+// writer goroutine renders each request's replies as it completes — in
+// request order, flushing once no further completed reply is pending, so a
+// pipelined burst costs one write syscall for the whole batch.
+//
+// The codec is auto-detected from the first byte: a binary client leads with
+// the handshake's 0xCF magic (wire.go), which can never begin a text command,
+// so everything else speaks lines.
+func (s *server) handle(conn net.Conn) {
+	defer conn.Close()
+	defer s.conns.Add(-1)
+	// Each connection gets its own counter stripe so concurrent connections'
+	// traffic counters never contend on a cache line.
+	stripe := int(s.connSeq.Add(1))
+	s.obs.connsTotal.Inc(stripe)
+	s.obs.conns.Add(1)
+	defer s.obs.conns.Add(-1)
+	// The reader size is also the request bound: ReadSlice fails with
+	// ErrBufferFull once a newline-free line exceeds it, so a misbehaving
+	// client cannot grow one line without limit (binary frames are bounded
+	// by the wire reader's limit instead; same maxFrame).
+	in := bufio.NewReaderSize(conn, maxFrame)
+	// The byte counter sits under the bufio.Writer: one add per flush.
+	out := bufio.NewWriter(&countWriter{w: conn, c: s.obs.bytesOut, stripe: stripe})
+
+	if d := s.cfg.ConnTimeout; d > 0 {
+		conn.SetReadDeadline(time.Now().Add(d))
+	}
+	first, err := in.Peek(1)
+	if err != nil {
+		return
+	}
+	// The codec is fixed before the writer goroutine starts (and before any
+	// request can be pushed), so the writer reads it race-free.
+	binary := first[0] == wire.Magic0
+	var w replyWriter = wire.NewLineEncoder(out)
+	if binary {
+		enc := wire.NewEncoder(out)
+		if s.handshake(conn, in, enc, stripe) != nil {
+			return
+		}
+		w = enc
+	}
+
+	pending := make(chan *request, 128)
+	var writerWG sync.WaitGroup
+	writerWG.Add(1)
+	go func() {
+		defer writerWG.Done()
+		var burst int64
+		for req := range pending {
+			<-req.done
+			render(w, req)
+			// Enqueue→reply latency for scheduler-routed requests, stamped
+			// strictly outside any transaction (t0 at decode time, here after
+			// the replies rendered). Outright replies never hit the scheduler.
+			if req.reply.Kind == 0 && req.typ != 0 {
+				s.obs.opLatency.ObserveSince(req.t0)
+			}
+			if req.notify != nil {
+				close(req.notify)
+			}
+			burst++
+			if len(pending) == 0 {
+				s.obs.bursts.Observe(burst)
+				burst = 0
+				// A stalled client must not pin this goroutine mid-flush.
+				if d := s.cfg.ConnTimeout; d > 0 {
+					conn.SetWriteDeadline(time.Now().Add(d))
+				}
+				if out.Flush() != nil {
+					// The connection is gone; keep draining so the reader
+					// never blocks on a full pending queue.
+					for req := range pending {
+						<-req.done
+						if req.notify != nil {
+							close(req.notify)
+						}
+						requestPool.Put(req)
+					}
+					return
+				}
+			}
+			requestPool.Put(req)
+		}
+		out.Flush()
+	}()
+
+	c := &connReader{srv: s, pending: pending, stripe: stripe}
+	if binary {
+		s.serveBinary(conn, in, c)
+	} else {
+		s.serveText(conn, in, c)
+	}
+	close(pending)
+	writerWG.Wait()
+}
+
+// serveText is the text codec's read loop: one line per request, tokenized
+// zero-copy (ops alias the line until dispatch copies them into a pooled
+// request).
+func (s *server) serveText(conn net.Conn, in *bufio.Reader, c *connReader) {
+	var scratch []crafty.KVOp
+	for {
+		// The connection timeout is an idle/stall bound: a client that sends
+		// nothing for a whole interval is disconnected rather than holding
+		// the reader goroutine (and its fd) forever.
+		if d := s.cfg.ConnTimeout; d > 0 {
+			conn.SetReadDeadline(time.Now().Add(d))
+		}
+		raw, err := in.ReadSlice('\n')
+		s.obs.bytesIn.Add(c.stripe, uint64(len(raw)))
+		if err == bufio.ErrBufferFull {
+			// Oversized request: same typed refusal as an oversized binary
+			// frame. Drain the rest of the line so the stream stays framed
+			// and the connection survives the mistake.
+			c.reply(0, tooLarge)
+			for err == bufio.ErrBufferFull {
+				raw, err = in.ReadSlice('\n')
+				s.obs.bytesIn.Add(c.stripe, uint64(len(raw)))
+			}
+			if err != nil {
+				return
+			}
+			continue
+		}
+		if line := trimLine(raw); len(line) != 0 {
+			s.obs.cmds.Inc(c.stripe)
+			req, perr := wire.ParseLine(line, scratch[:0])
+			scratch = req.Ops[:0]
+			if !c.dispatch(req, perr) {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// trimLine strips the trailing newline (and any \r) from a raw line; the
+// result aliases the connection read buffer, valid until the next ReadSlice.
+func trimLine(raw []byte) []byte {
+	for len(raw) > 0 && (raw[len(raw)-1] == '\n' || raw[len(raw)-1] == '\r') {
+		raw = raw[:len(raw)-1]
+	}
+	return raw
+}
+
+// connReader is one connection's decode-and-submit state.
+type connReader struct {
+	srv     *server
+	pending chan *request
+	stripe  int
+}
+
+// push submits a request to the scheduler and appends it to the
+// connection's reply queue. Outright ERR replies (usage mistakes, unknown
+// commands, refusals, failed control commands) are counted here — the one
+// spot every one of them passes through.
+func (c *connReader) push(req *request) {
+	if req.reply.Kind == wire.TErr {
+		c.srv.obs.cmdErrs.Inc(c.stripe)
+	}
+	c.srv.submit(req)
+	c.pending <- req
+}
+
+// reply answers command typ outright with r, in order behind the
+// connection's operations in flight.
+func (c *connReader) reply(typ wire.Type, r wire.Reply) {
+	req := newRequest(typ)
+	req.reply = r
+	c.push(req)
+}
+
+// waitPrior blocks until every previously submitted request of this
+// connection has completed and rendered, by riding a no-output marker
+// through the reply queue: the writer processes requests in order, so
+// reaching the marker means everything before it finished. Commands whose
+// effect or reply must observe the connection's earlier operations across
+// all shards (LEN, INFO, CRASH, QUIT, ...) use it; same-key ordering needs no
+// barrier, since a key's operations share one worker queue.
+func (c *connReader) waitPrior() {
+	marker := newRequest(0)
+	marker.notify = make(chan struct{})
+	notify := marker.notify
+	close(marker.done) // bypasses submit: complete it here
+	c.pending <- marker
+	<-notify
+}
+
+// dispatch runs one decoded request, whichever codec decoded it; it returns
+// false when the connection should close. perr is the codec's refusal of a
+// request it could not decode (req then names the command, if that much was
+// legible). Operands alias the connection read buffer: addOp copies them
+// into the pooled request, they are never retained.
+func (c *connReader) dispatch(req wire.Request, perr error) bool {
+	s := c.srv
+	// answer replies with a control command's result: ERR on failure, the
+	// text when there is one, a bare OK otherwise.
+	answer := func(text string, err error) {
+		switch {
+		case err != nil:
+			c.reply(req.Type, wire.Reply{Kind: wire.TErr, Msg: err.Error()})
+		case text != "":
+			c.reply(req.Type, wire.Reply{Kind: wire.TText, Msg: text})
+		default:
+			c.reply(req.Type, wire.Reply{Kind: wire.TOK})
+		}
+	}
+	cmd, known := wire.Lookup(req.Type)
+	switch {
+	case known && cmd.Mutates && s.writesRefused():
+		// Replica role: client mutations are refused until PROMOTE (the
+		// replication applier submits its work directly, not through here).
+		// The request was read whole, so refusing costs nothing in framing.
+		answer("", errReadOnlyReplica)
+		return true
+	case perr != nil:
+		// Undecodable but well-delimited: answer and keep the connection.
+		answer("", perr)
+		return true
+	case cmd.Args != wire.ArgsNone:
+		r := newRequest(req.Type)
+		for i := range req.Ops {
+			r.addOp(req.Ops[i].Kind, req.Ops[i].Key, req.Ops[i].Value)
+		}
+		c.push(r)
+		return true
+	}
+	switch req.Type {
+	case wire.TLen:
+		c.waitPrior()
+		c.push(newRequest(wire.TLen))
+	case wire.TInfo:
+		// The full metrics snapshot. waitPrior orders it after this
+		// connection's earlier operations, so counters reflect them.
+		c.waitPrior()
+		answer(s.infoText(), nil)
+	case wire.TSync:
+		// The barrier covers everything already queued — including this
+		// connection's earlier operations — so no waitPrior is needed. In
+		// sync-replication mode it additionally waits for the replica's
+		// durable acknowledgement (repl.go).
+		answer("", s.replicatedSync())
+	case wire.TCheckpoint:
+		// Like SYNC, the barrier covers everything already queued.
+		rep, err := s.checkpoint()
+		answer(fmt.Sprintf("OK seq=%d epoch=%d dirty_shards=%d entries=%d coalesced=%d",
+			rep.Seq, rep.Epoch, rep.DirtyShards, rep.Entries, rep.Coalesced), err)
+	case wire.TCrash:
+		c.waitPrior()
+		rolledBack, entries, rep, err := s.crash()
+		answer(fmt.Sprintf("OK rolled_back=%d entries=%d verified_shards=%d shards=%d full_verify=%t",
+			rolledBack, entries, rep.VerifiedShards, rep.Shards, rep.FullVerify), err)
+	case wire.TPromote:
+		// Failover: stop following the primary, checkpoint at a quiesced
+		// point, start accepting writes under a fresh generation. waitPrior
+		// orders it after this connection's earlier (read) traffic.
+		c.waitPrior()
+		answer(s.promote())
+	case wire.TReplInfo:
+		c.waitPrior()
+		answer(s.replInfo(), nil)
+	case wire.TQuit:
+		c.waitPrior()
+		answer("BYE", nil)
+		return false
+	}
+	return true
+}

@@ -1,13 +1,12 @@
-// The binary protocol path (internal/wire): frames are decoded zero-copy
-// into the scheduler's op shapes — keys and values alias the wire reader's
-// frame buffer until request build time, when addOpBytes copies them into the
-// pooled request's backing buffer, the same aliasing boundary the text
-// tokenizer uses — and responses ride the connection's existing bufio.Writer
-// through the same writer goroutine, one flush per pipelined burst.
+// The frame codec's side of a connection (internal/wire): the handshake and
+// the read loop. Frames are decoded zero-copy — keys and values alias the
+// wire reader's frame buffer until dispatch copies them into the pooled
+// request, the same aliasing boundary the text loop uses — and replies ride
+// the connection's one bufio.Writer through the one writer goroutine.
 //
-// A connection picks its protocol with its first byte: the handshake magic
-// 0xCF can never begin a text command (main.go auto-detects with one Peek),
-// so the line protocol survives untouched as the debug mode.
+// A connection picks its codec with its first byte: the handshake magic 0xCF
+// can never begin a text command (server.go auto-detects with one Peek), so
+// the line protocol survives untouched as the debug mode.
 package main
 
 import (
@@ -16,30 +15,29 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"time"
 
 	"crafty"
 	"crafty/internal/wire"
 )
 
-// maxFrame bounds one request in either protocol: a text line (the reader
+// maxFrame bounds one request in either codec: a text line (the reader
 // buffer size) or a binary frame (the wire reader's limit).
 const maxFrame = 1 << 20
 
-// tooLargeReply is the typed refusal both protocols send for an oversized
-// request; the connection stays alive (serveText drains the line, the wire
-// reader discards the frame, so both streams stay framed).
-var tooLargeReply = fmt.Sprintf("ERR frame too large %d", maxFrame)
+// tooLarge is the typed refusal both codecs send for an oversized request;
+// the connection stays alive (serveText drains the line, the wire reader
+// discards the frame, so both streams stay framed).
+var tooLarge = wire.Reply{Kind: wire.TErr, Msg: fmt.Sprintf("frame too large %d", maxFrame)}
 
-// readHandshake consumes and validates the client's handshake, returning the
-// negotiated version: min(ours, theirs). The ack is rendered by the writer
-// goroutine (cmdHello), not here, so every byte written to the connection
-// stays on one goroutine.
-func (s *server) readHandshake(in *bufio.Reader, stripe int, conn net.Conn) (byte, error) {
+// handshake consumes and validates the client's handshake and acks it with
+// the negotiated version: min(ours, theirs). It runs before the connection's
+// writer goroutine exists, so writing here keeps every byte on one goroutine
+// at a time.
+func (s *server) handshake(conn net.Conn, in *bufio.Reader, enc *wire.Encoder, stripe int) error {
 	var hs [wire.HandshakeLen]byte
 	if _, err := io.ReadFull(in, hs[:]); err != nil {
-		return 0, err
+		return err
 	}
 	s.obs.bytesIn.Add(stripe, wire.HandshakeLen)
 	s.obs.wireBytes.Add(stripe, wire.HandshakeLen)
@@ -49,17 +47,22 @@ func (s *server) readHandshake(in *bufio.Reader, stripe int, conn net.Conn) (byt
 		// confused client definitely reads) and close.
 		s.obs.wireErrs.Inc(stripe)
 		fmt.Fprintf(conn, "ERR %v\n", err)
-		return 0, err
+		return err
 	}
 	if version > wire.Version {
 		version = wire.Version
 	}
-	return version, nil
+	enc.Handshake(version)
+	// A stalled client must not pin the connection mid-flush.
+	if d := s.cfg.ConnTimeout; d > 0 {
+		conn.SetWriteDeadline(time.Now().Add(d))
+	}
+	return enc.Flush()
 }
 
-// serveBinary is the binary-protocol read loop: one frame per request,
-// decoded into a scratch op slice aliasing the frame buffer, copied into a
-// pooled request, and submitted exactly like its text twin.
+// serveBinary is the frame codec's read loop: one frame per request, decoded
+// into a scratch op slice aliasing the frame buffer and dispatched exactly
+// like its text twin.
 func (s *server) serveBinary(conn net.Conn, in *bufio.Reader, c *connReader) {
 	r := wire.NewReader(in, maxFrame)
 	var scratch []crafty.KVOp
@@ -79,192 +82,28 @@ func (s *server) serveBinary(conn net.Conn, in *bufio.Reader, c *connReader) {
 				// stream is still framed: refuse and keep serving — the
 				// binary twin of serveText's oversized-line path.
 				s.obs.wireErrs.Inc(c.stripe)
-				c.push(inlineRequest(tooLargeReply))
+				c.reply(0, tooLarge)
 				continue
 			}
 			var pe *wire.ProtocolError
 			if errors.As(err, &pe) {
 				// Framing lost: say why, then close.
 				s.obs.wireErrs.Inc(c.stripe)
-				c.push(inlineRequest(fmt.Sprintf("ERR %v", err)))
+				c.reply(0, wire.Reply{Kind: wire.TErr, Msg: err.Error()})
 			}
 			return
 		}
 		s.obs.wireFrames.Inc(c.stripe)
 		s.obs.cmds.Inc(c.stripe)
-		if !c.dispatchFrame(typ, payload, &scratch) {
+		ops, perr := wire.DecodeRequest(typ, payload, scratch[:0])
+		scratch = ops[:0]
+		if perr != nil {
+			// A malformed payload or an unknown type inside a well-framed
+			// frame: the stream is still framed, so dispatch answers it.
+			s.obs.wireErrs.Inc(c.stripe)
+		}
+		if !c.dispatch(wire.Request{Type: typ, Ops: ops}, perr) {
 			return
 		}
-	}
-}
-
-// frameCmd maps a keyed-request frame type to its render kind.
-func frameCmd(t wire.Type) cmdKind {
-	switch t {
-	case wire.TGet:
-		return cmdGet
-	case wire.TPut:
-		return cmdPut
-	case wire.TDel:
-		return cmdDel
-	case wire.TMGet:
-		return cmdMGet
-	case wire.TMPut:
-		return cmdMPut
-	case wire.TMDel:
-		return cmdMDel
-	}
-	panic("frameCmd: not a keyed request type")
-}
-
-// dispatchFrame is dispatch for one binary frame; scratch is the reused
-// decode buffer (its ops alias the frame payload and die with it). It
-// returns false when the connection should close.
-func (c *connReader) dispatchFrame(t wire.Type, payload []byte, scratch *[]crafty.KVOp) bool {
-	s := c.srv
-	switch t {
-	case wire.TPut, wire.TDel, wire.TMPut, wire.TMDel:
-		// Replica role: client mutations are refused until PROMOTE. The
-		// frame was read whole, so refusing costs nothing in framing.
-		if s.writesRefused() {
-			c.push(inlineRequest(replicaRefusal))
-			return true
-		}
-	}
-	switch t {
-	case wire.TGet, wire.TPut, wire.TDel, wire.TMGet, wire.TMPut, wire.TMDel:
-		ops, err := wire.DecodeRequest(t, payload, (*scratch)[:0])
-		*scratch = ops[:0]
-		if err != nil {
-			// A malformed payload inside a well-framed frame: the stream is
-			// still framed, so answer and keep the connection.
-			s.obs.wireErrs.Inc(c.stripe)
-			c.push(inlineRequest(fmt.Sprintf("ERR %v", err)))
-			return true
-		}
-		req := newRequest(frameCmd(t))
-		for i := range ops {
-			req.addOpBytes(ops[i].Kind, ops[i].Key, ops[i].Value)
-		}
-		c.push(req)
-	case wire.TLen:
-		c.waitPrior()
-		c.push(newRequest(cmdLen))
-	case wire.TSync:
-		if err := s.replicatedSync(); err != nil {
-			c.push(inlineRequest(fmt.Sprintf("ERR %v", err)))
-			return true
-		}
-		c.push(inlineRequest("OK"))
-	case wire.TInfo:
-		c.waitPrior()
-		c.push(inlineRequest(s.infoText()))
-	case wire.TCheckpoint:
-		rep, err := s.checkpoint()
-		if err != nil {
-			c.push(inlineRequest(fmt.Sprintf("ERR %v", err)))
-			return true
-		}
-		c.push(inlineRequest(fmt.Sprintf("OK seq=%d epoch=%d dirty_shards=%d entries=%d coalesced=%d",
-			rep.Seq, rep.Epoch, rep.DirtyShards, rep.Entries, rep.Coalesced)))
-	case wire.TCrash:
-		c.waitPrior()
-		rolledBack, entries, rep, err := s.crash()
-		if err != nil {
-			c.push(inlineRequest(fmt.Sprintf("ERR %v", err)))
-			return true
-		}
-		c.push(inlineRequest(fmt.Sprintf("OK rolled_back=%d entries=%d verified_shards=%d shards=%d full_verify=%t",
-			rolledBack, entries, rep.VerifiedShards, rep.Shards, rep.FullVerify)))
-	default:
-		s.obs.wireErrs.Inc(c.stripe)
-		c.push(inlineRequest(fmt.Sprintf("ERR unknown frame type %v", t)))
-	}
-	return true
-}
-
-// renderWire renders one completed request as binary response frames — the
-// binary twin of render, run on the connection's writer goroutine over the
-// same bufio.Writer. Encoder errors are bufio-sticky; the writer's Flush
-// sees them.
-func renderWire(e *wire.Encoder, req *request) {
-	switch req.cmd {
-	case cmdHello:
-		e.Handshake(byte(req.n))
-	case cmdInline:
-		renderWireInline(e, req.text)
-	case cmdPut:
-		if err := req.res[0].err; err != nil {
-			e.Err(err.Error())
-		} else {
-			e.OK()
-		}
-	case cmdGet:
-		renderWireGet(e, &req.res[0])
-	case cmdMGet:
-		for i := range req.res {
-			renderWireGet(e, &req.res[i])
-		}
-	case cmdDel:
-		renderWireDel(e, &req.res[0])
-	case cmdMDel:
-		for i := range req.res {
-			renderWireDel(e, &req.res[i])
-		}
-	case cmdMPut:
-		for i := range req.res {
-			if err := req.res[i].err; err != nil {
-				e.Err(fmt.Sprintf("op %d: %v", i, err))
-				return
-			}
-		}
-		e.Uint(uint64(len(req.res)))
-	case cmdLen:
-		if req.err != nil {
-			e.Err(req.err.Error())
-		} else {
-			e.Uint(req.n)
-		}
-	}
-}
-
-// renderWireInline maps pre-rendered reply text onto frames: "OK" is a TOK,
-// "ERR ..." a TErr (prefix stripped; the client restores it), and anything
-// else — INFO blobs, CHECKPOINT/CRASH summaries — a TText carrying the text
-// verbatim.
-func renderWireInline(e *wire.Encoder, text string) {
-	switch {
-	case text == "":
-		// no-output marker (connReader.waitPrior)
-	case text == "OK":
-		e.OK()
-	case strings.HasPrefix(text, "ERR "):
-		e.Err(text[len("ERR "):])
-	case text == "ERR":
-		e.Err("")
-	default:
-		e.Text(text)
-	}
-}
-
-func renderWireGet(e *wire.Encoder, r *opResult) {
-	switch {
-	case r.err != nil:
-		e.Err(r.err.Error())
-	case !r.found:
-		e.Nil()
-	default:
-		e.Val(r.val)
-	}
-}
-
-func renderWireDel(e *wire.Encoder, r *opResult) {
-	switch {
-	case r.err != nil:
-		e.Err(r.err.Error())
-	case !r.found:
-		e.Nil()
-	default:
-		e.OK()
 	}
 }

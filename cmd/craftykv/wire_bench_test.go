@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"crafty/internal/kv"
 	"crafty/internal/wire"
 )
 
@@ -78,10 +79,10 @@ func dialBinBench(addr string) (net.Conn, *wire.Encoder, *wire.Reader, error) {
 	return conn, enc, wire.NewReader(br, 0), nil
 }
 
-func benchKeys(id, depth int) [][]byte {
-	keys := make([][]byte, depth)
+func benchKeys(id, depth int) []kv.Op {
+	keys := make([]kv.Op, depth)
 	for i := range keys {
-		keys[i] = fmt.Appendf(nil, "bench-%03d-%04d", id, i)
+		keys[i] = kv.Op{Kind: kv.OpGet, Key: fmt.Appendf(nil, "bench-%03d-%04d", id, i)}
 	}
 	return keys
 }
@@ -95,10 +96,10 @@ func wireBenchConnBinary(addr string, id, batches, depth int, batched bool) erro
 	keys := benchKeys(id, depth)
 	for b := 0; b < batches; b++ {
 		if batched {
-			enc.MGet(keys)
+			enc.Ops(wire.TMGet, keys)
 		} else {
 			for i := 0; i < depth; i++ {
-				enc.Get(keys[i])
+				enc.Get(keys[i].Key)
 			}
 		}
 		if err := enc.Flush(); err != nil {
@@ -129,7 +130,7 @@ func wireBenchConnText(addr string, id, batches, depth int) error {
 	for b := 0; b < batches; b++ {
 		for i := 0; i < depth; i++ {
 			w.WriteString("GET ")
-			w.Write(keys[i])
+			w.Write(keys[i].Key)
 			w.WriteByte('\n')
 		}
 		if err := w.Flush(); err != nil {
@@ -161,7 +162,7 @@ func wirePopulate(addr string, conns, depth int, value []byte) error {
 	for id := 0; id < conns; id++ {
 		for _, key := range benchKeys(id, depth) {
 			w.WriteString("PUT ")
-			w.Write(key)
+			w.Write(key.Key)
 			w.WriteByte(' ')
 			w.Write(value)
 			w.WriteByte('\n')

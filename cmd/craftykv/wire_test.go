@@ -9,12 +9,13 @@ import (
 	"strings"
 	"testing"
 
-	"crafty"
 	"crafty/internal/wire"
 )
 
-// binClient is a binary-protocol test client: handshake done, frames in and
-// out.
+// binClient is a raw binary-protocol test client — handshake done, frames in
+// and out — for the cases that are about bytes: version negotiation,
+// hand-assembled frames, framing violations. Behaviour above the codec is
+// tested once for both codecs through the typed client (main_test.go).
 type binClient struct {
 	conn net.Conn
 	enc  *wire.Encoder
@@ -73,18 +74,6 @@ func (c *binClient) expect(t *testing.T, wantType wire.Type, wantPayload string)
 	}
 }
 
-func (c *binClient) expectUint(t *testing.T, want uint64) {
-	t.Helper()
-	typ, payload := c.next(t)
-	if typ != wire.TUint {
-		t.Fatalf("got (%v, %q), want TUint", typ, payload)
-	}
-	v, err := wire.DecodeUintPayload(payload)
-	if err != nil || v != want {
-		t.Fatalf("TUint = (%d, %v), want %d", v, err, want)
-	}
-}
-
 // TestWireHandshake pins version negotiation: the server answers with
 // min(its version, the client's).
 func TestWireHandshake(t *testing.T) {
@@ -113,97 +102,6 @@ func TestWireBadHandshakeRejected(t *testing.T) {
 	line, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil || !strings.HasPrefix(line, "ERR ") {
 		t.Fatalf("got (%q, %v), want an ERR line", line, err)
-	}
-}
-
-// TestWireCommands drives every request frame type against a live server.
-func TestWireCommands(t *testing.T) {
-	addr := startServer(t)
-	c := dialBin(t, addr, wire.Version)
-
-	c.enc.Get([]byte("nothing"))
-	c.expect(t, wire.TNil, "")
-
-	c.enc.Put([]byte("greeting"), []byte("hello"))
-	c.expect(t, wire.TOK, "")
-	c.enc.Get([]byte("greeting"))
-	c.expect(t, wire.TVal, "hello")
-
-	c.enc.MPut([][]byte{[]byte("a"), []byte("1"), []byte("b"), []byte("2")})
-	c.expectUint(t, 2)
-
-	c.enc.MGet([][]byte{[]byte("a"), []byte("b"), []byte("nope")})
-	c.expect(t, wire.TVal, "1")
-	c.expect(t, wire.TVal, "2")
-	c.expect(t, wire.TNil, "")
-
-	c.enc.Request0(wire.TLen)
-	c.expectUint(t, 3)
-
-	c.enc.MDel([][]byte{[]byte("a"), []byte("nope")})
-	c.expect(t, wire.TOK, "")
-	c.expect(t, wire.TNil, "")
-
-	c.enc.Del([]byte("b"))
-	c.expect(t, wire.TOK, "")
-	c.enc.Del([]byte("b"))
-	c.expect(t, wire.TNil, "")
-
-	c.enc.Request0(wire.TSync)
-	c.expect(t, wire.TOK, "")
-
-	c.enc.Request0(wire.TCheckpoint)
-	if typ, payload := c.next(t); typ != wire.TText || !strings.HasPrefix(string(payload), "OK seq=") {
-		t.Fatalf("CHECKPOINT: got (%v, %q)", typ, payload)
-	}
-
-	c.enc.Request0(wire.TInfo)
-	typ, payload := c.next(t)
-	if typ != wire.TText || !strings.HasPrefix(string(payload), "INFO ") {
-		t.Fatalf("INFO: got (%v, %.40q...)", typ, payload)
-	}
-	if !strings.Contains(string(payload), "\nwire.frames ") {
-		t.Fatalf("INFO over binary lacks the wire.frames counter:\n%.200s", payload)
-	}
-}
-
-// TestWireCrashRecovery: a synced write over the binary protocol survives an
-// injected crash issued over the binary protocol.
-func TestWireCrashRecovery(t *testing.T) {
-	addr := startServerPersist(t, 0)
-	c := dialBin(t, addr, wire.Version)
-	c.enc.Put([]byte("durable"), []byte("yes"))
-	c.expect(t, wire.TOK, "")
-	c.enc.Request0(wire.TSync)
-	c.expect(t, wire.TOK, "")
-	c.enc.Request0(wire.TCrash)
-	if typ, payload := c.next(t); typ != wire.TText || !strings.HasPrefix(string(payload), "OK rolled_back=") {
-		t.Fatalf("CRASH: got (%v, %q)", typ, payload)
-	}
-	c.enc.Get([]byte("durable"))
-	c.expect(t, wire.TVal, "yes")
-}
-
-// TestWirePipelinedBurst: many frames in one write, every reply in order,
-// and the multi-op frame decodes into one scheduler request (1:1 op
-// mapping).
-func TestWirePipelinedBurst(t *testing.T) {
-	addr := startServer(t)
-	c := dialBin(t, addr, wire.Version)
-	const n = 64
-	for i := 0; i < n; i++ {
-		c.enc.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i)))
-	}
-	for i := 0; i < n; i++ {
-		c.expect(t, wire.TOK, "")
-	}
-	keys := make([][]byte, n)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("k%03d", i))
-	}
-	c.enc.MGet(keys)
-	for i := 0; i < n; i++ {
-		c.expect(t, wire.TVal, fmt.Sprintf("v%03d", i))
 	}
 }
 
@@ -276,40 +174,86 @@ func TestWireDesyncCloses(t *testing.T) {
 	}
 }
 
-// TestDispatchTokenizerAllocs pins the text hot path's per-request
-// allocation count: tokenizing a line and building its ops into a warmed
-// pooled request allocates nothing (the request's done channel, made in
-// newRequest, is the one remaining per-request allocation and is excluded by
-// reusing the request here).
-func TestDispatchTokenizerAllocs(t *testing.T) {
-	line := []byte("MPUT key1 value1 key2 value2 key3 value3 key4 value4")
-	req := &request{}
-	warm := func() {
-		cmd, rest, _ := cutSpace(line)
-		if !cmdIs(cmd, "MPUT") {
-			t.Fatal("tokenizer lost the command")
-		}
-		f := fields{b: rest}
-		if n := f.count(); n != 8 {
-			t.Fatalf("count = %d, want 8", n)
-		}
-		req.ops = req.ops[:0]
-		req.res = req.res[:0]
-		req.buf = req.buf[:0]
-		for {
-			k, ok := f.next()
-			if !ok {
-				break
-			}
-			v, _ := f.next()
-			req.addOpBytes(crafty.KVPut, k, v)
-		}
-		if len(req.ops) != 4 {
-			t.Fatalf("ops = %d, want 4", len(req.ops))
+// codecConn is a raw connection speaking one codec through wire's own
+// encoders and decoders. Unlike the typed client it can pipeline: many
+// requests per write, replies read afterwards.
+type codecConn struct {
+	t    *testing.T
+	conn net.Conn
+	w    *bufio.Writer
+	enc  interface{ Request(wire.Request) error }
+	dec  interface {
+		ReadReply(wire.Type) (wire.Reply, error)
+	}
+}
+
+func dialCodec(t *testing.T, addr string, binary bool) *codecConn {
+	t.Helper()
+	if binary {
+		b := dialBin(t, addr, wire.Version)
+		return &codecConn{t: t, conn: b.conn, w: b.w, enc: b.enc, dec: b.rd}
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	w := bufio.NewWriter(conn)
+	return &codecConn{t: t, conn: conn, w: w, enc: wire.NewLineEncoder(w), dec: wire.NewLineReader(bufio.NewReader(conn))}
+}
+
+// send encodes reqs back to back and writes them at once.
+func (c *codecConn) send(reqs ...wire.Request) {
+	c.t.Helper()
+	for _, req := range reqs {
+		if err := c.enc.Request(req); err != nil {
+			c.t.Fatalf("encoding %v: %v", req.Type, err)
 		}
 	}
-	warm()
-	if allocs := testing.AllocsPerRun(200, warm); allocs != 0 {
-		t.Errorf("text tokenize+build allocates %v per request, want 0", allocs)
+	if err := c.w.Flush(); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+// expect reads the replies to reqs, in order, and compares them to want.
+func (c *codecConn) expect(reqs []wire.Request, want []wire.Reply) {
+	c.t.Helper()
+	for _, req := range reqs {
+		cmd, _ := wire.Lookup(req.Type)
+		for i := cmd.Replies(req); i > 0; i-- {
+			got, err := c.dec.ReadReply(req.Type)
+			if err != nil || len(want) == 0 || !sameReply(got, want[0]) {
+				c.t.Fatalf("reply to %v: got %+v (%v), want the first of %+v", req.Type, got, err, want[:min(len(want), 1)])
+			}
+			want = want[1:]
+		}
+	}
+	if len(want) != 0 {
+		c.t.Fatalf("%d expected replies have no request: %+v", len(want), want)
+	}
+}
+
+// TestTextValueWithNewlineIsOneReply: a value stored through the frame codec
+// may hold a newline; served as "VAL <value>" to a text client it would read
+// as two replies — "VAL a", then a forged "OK injected" — and shift every
+// later reply of that connection by one. The text reply encoder answers with
+// one typed ERR line instead, and the replies behind it stay aligned.
+func TestTextValueWithNewlineIsOneReply(t *testing.T) {
+	addr := startServer(t)
+	bc := dialTyped(t, addr, true)
+	for k, v := range map[string]string{"lf": "a\nOK injected", "cr": "a\rb", "fine": "a b"} {
+		if err := bc.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc := dial(t, addr)
+	if _, err := tc.conn.Write([]byte("GET lf\nLEN\nMGET cr fine lf\nGET fine\n")); err != nil {
+		t.Fatal(err)
+	}
+	const refusal = "ERR value not representable in the text protocol"
+	tc.expectLines(t, refusal, "LEN 3", refusal, "VAL a b", refusal, "VAL a b")
+	// The frame codec still serves the bytes as stored.
+	if v, ok, err := bc.Get("lf"); err != nil || !ok || v != "a\nOK injected" {
+		t.Fatalf("binary Get(lf) = %q, %t, %v", v, ok, err)
 	}
 }

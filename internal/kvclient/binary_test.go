@@ -2,6 +2,7 @@ package kvclient
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -140,9 +141,26 @@ func TestBinaryMode(t *testing.T) {
 	if n, err := c.Len(); err != nil || n != 1 {
 		t.Fatalf("Len = %d %v", n, err)
 	}
-	if lines, err := c.DoLines("MGET alpha missing", 2); err != nil ||
-		len(lines) != 2 || lines[0] != "VAL one" || lines[1] != "NIL" {
-		t.Fatalf("MGET = %q %v", lines, err)
+	replies, err := c.Apply([]kv.Op{{Kind: kv.OpGet, Key: []byte("alpha")}, {Kind: kv.OpGet, Key: []byte("missing")}})
+	if err != nil || len(replies) != 2 || replies[0].Kind != wire.TVal || string(replies[0].Val) != "one" || replies[1].Kind != wire.TNil {
+		t.Fatalf("Apply(gets) = %+v %v", replies, err)
+	}
+	// The debug shim renders the same replies as the text protocol would.
+	if text, err := c.Do("mget alpha missing"); err != nil || text != "VAL one\nNIL" {
+		t.Fatalf("Do(MGET) = %q %v", text, err)
+	}
+	if text, err := c.Do("LEN"); err != nil || text != "LEN 1" {
+		t.Fatalf("Do(LEN) = %q %v", text, err)
+	}
+	// Keys and values are bytes here: blanks and newlines travel intact.
+	if err := c.Put("a key", "line one\nline two"); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := c.Get("a key"); err != nil || !ok || v != "line one\nline two" {
+		t.Fatalf("Get(a key) = %q %v %v", v, ok, err)
+	}
+	if ok, err := c.Del("a key"); err != nil || !ok {
+		t.Fatalf("Del(a key) = %v %v", ok, err)
 	}
 	if ok, err := c.Del("alpha"); err != nil || !ok {
 		t.Fatalf("Del = %v %v", ok, err)
@@ -150,8 +168,9 @@ func TestBinaryMode(t *testing.T) {
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Do("STATS"); err == nil {
-		t.Fatal("STATS accepted over the binary protocol")
+	var unknown *wire.UnknownCommandError
+	if _, err := c.Do("STATS"); !errors.As(err, &unknown) {
+		t.Fatalf("Do(STATS) = %v, want an unknown-command error", err)
 	}
 	if c.Retries() != 0 {
 		t.Fatalf("clean run performed %d retries", c.Retries())

@@ -1,14 +1,17 @@
-// Package kvclient is a minimal client for the craftykv protocols — the
-// text protocol, and with Config.Binary the length-prefixed binary protocol
-// (internal/wire), negotiated per connection with a sticky per-client
-// fallback to text when the server predates the handshake — with
-// the retry discipline a server that injects crashes demands: dial failures,
-// dropped connections, and the server's explicit "ERR recovering" reply (a
-// connection arriving while a CRASH recovery holds the store) are retried on
-// a capped exponential backoff with jitter, up to a budget. Mutating
-// commands are idempotent at the store (PUT and DEL re-apply to the same
-// state), so retrying a round trip whose reply was lost is safe; the client
-// documents at-least-once semantics rather than pretending otherwise.
+// Package kvclient is a minimal client for craftykv. It speaks both codecs of
+// internal/wire — text lines, and with Config.Binary the length-prefixed
+// frames, negotiated per connection with a sticky per-client fallback to text
+// when the server predates the handshake — through one round trip over
+// wire.Request and wire.Reply values: the typed methods build Requests and
+// read Replies and never format or parse a line (only the debug shim Do does,
+// via wire). It carries the retry discipline a server that injects crashes
+// demands: dial failures, dropped connections, and the server's explicit
+// "ERR recovering" reply (a connection arriving while a CRASH recovery holds
+// the store) are retried on a capped exponential backoff with jitter, up to a
+// budget. Mutating commands are idempotent at the store (PUT and DEL re-apply
+// to the same state), so retrying a round trip whose reply was lost is safe;
+// the client documents at-least-once semantics rather than pretending
+// otherwise.
 //
 // The craftykv tests (and the replication failover drills) use it in place
 // of hand-rolled net.Dial loops, which hung or flaked whenever a request
@@ -17,13 +20,16 @@ package kvclient
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"strconv"
 	"strings"
 	"time"
 
+	"crafty/internal/kv"
 	"crafty/internal/wire"
 )
 
@@ -44,10 +50,9 @@ type Config struct {
 	// Seed makes the jitter deterministic in tests; 0 seeds from the
 	// address so distinct clients still diverge.
 	Seed int64
-	// Binary opts into the binary wire protocol (internal/wire): each new
-	// connection opens with the versioned handshake, requests become frames,
-	// and replies are translated back to the text protocol's line shapes so
-	// Do/DoLines and the typed helpers behave identically. A peer that
+	// Binary opts into the frame codec (internal/wire): each new connection
+	// opens with the versioned handshake and requests and replies travel as
+	// frames; every method behaves identically either way. A peer that
 	// answers the handshake with a text error (a text-only server parsing it
 	// as one garbage line) downgrades the client to text permanently; the
 	// "ERR recovering" and connection-limit refusals are retried instead,
@@ -119,15 +124,27 @@ type Client struct {
 
 	conn net.Conn
 	r    *bufio.Reader
+	w    *bufio.Writer
 
-	// Binary-mode state: the frame codec over the current connection, and
-	// whether this connection negotiated binary. textOnly is the sticky
+	// The current connection's codec — wire.Encoder and wire.Reader, or their
+	// line twins — and whether it negotiated binary. textOnly is the sticky
 	// downgrade after a text-only server refused the handshake.
-	w        *bufio.Writer
-	enc      *wire.Encoder
-	frames   *wire.Reader
+	enc interface {
+		Request(wire.Request) error
+	}
+	dec interface {
+		ReadReply(cmd wire.Type) (wire.Reply, error)
+	}
 	bin      bool
 	textOnly bool
+
+	// Reused request and reply storage: one op and its key/value bytes for
+	// the single-key methods, and the replies of the last round trip with
+	// the values they alias.
+	op      [1]kv.Op
+	kbuf    []byte
+	replies []wire.Reply
+	vals    []byte
 
 	// retries counts transparently retried round trips, for tests asserting
 	// the retry path actually ran.
@@ -168,10 +185,9 @@ func (c *Client) SetAddr(addr string) {
 	c.addr = addr
 }
 
-// errRecovering matches the server's explicit recovery refusal.
-func errRecovering(line string) bool {
-	return strings.HasPrefix(line, "ERR recovering")
-}
+// errRecovering matches the message of the server's explicit recovery
+// refusal.
+func errRecovering(msg string) bool { return strings.HasPrefix(msg, "recovering") }
 
 // retryable classifies failures worth another attempt: connection-level
 // errors (the crash handler or a conn limit dropped us; redial) and the
@@ -191,7 +207,8 @@ func (c *Client) ensureConn() error {
 	}
 	c.conn = conn
 	c.r = bufio.NewReader(conn)
-	c.bin = false
+	c.w = bufio.NewWriter(conn)
+	c.enc, c.dec, c.bin = wire.NewLineEncoder(c.w), wire.NewLineReader(c.r), false
 	if c.cfg.Binary && !c.textOnly {
 		return c.handshake()
 	}
@@ -227,10 +244,7 @@ func (c *Client) handshake() error {
 			c.dropConn()
 			return retryableError{err}
 		}
-		c.w = bufio.NewWriter(c.conn)
-		c.enc = wire.NewEncoder(c.w)
-		c.frames = wire.NewReader(c.r, 0)
-		c.bin = true
+		c.enc, c.dec, c.bin = wire.NewEncoder(c.w), wire.NewReader(c.r, 0), true
 		return nil
 	}
 	line, err := c.r.ReadString('\n')
@@ -239,7 +253,7 @@ func (c *Client) handshake() error {
 		return retryableError{err}
 	}
 	line = strings.TrimRight(line, "\r\n")
-	if errRecovering(line) || strings.HasPrefix(line, "ERR too many connections") {
+	if errRecovering(strings.TrimPrefix(line, "ERR ")) || strings.HasPrefix(line, "ERR too many connections") {
 		c.dropConn()
 		return retryableError{fmt.Errorf("server refused connection: %s", line)}
 	}
@@ -277,241 +291,205 @@ func (c *Client) withRetry(op func() error) error {
 	}
 }
 
-// roundTrip performs one request and reads n reply lines on the current
-// connection; any transport failure or recovering refusal is retryable.
-func (c *Client) roundTrip(req string, n int, lines []string) ([]string, error) {
+// roundTrip performs one request on the current connection and reads its
+// replies; any transport failure or recovering refusal is retryable, a
+// request the codec refuses to encode is not. The replies (and the values
+// they alias) are valid until the next round trip.
+func (c *Client) roundTrip(req wire.Request) ([]wire.Reply, error) {
 	if err := c.ensureConn(); err != nil {
 		return nil, err
 	}
-	c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-	if c.bin {
-		return c.roundTripBin(req, n, lines)
+	cmd, ok := wire.Lookup(req.Type)
+	if !ok {
+		return nil, fmt.Errorf("kvclient: request type %v is not a command", req.Type)
 	}
-	if _, err := fmt.Fprintf(c.conn, "%s\n", req); err != nil {
+	c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+	if err := c.enc.Request(req); err != nil {
+		return nil, fmt.Errorf("kvclient: %w", err)
+	}
+	if err := c.w.Flush(); err != nil {
 		c.dropConn()
 		return nil, retryableError{err}
 	}
-	lines = lines[:0]
-	for i := 0; i < n; i++ {
-		line, err := c.r.ReadString('\n')
+	c.replies, c.vals = c.replies[:0], c.vals[:0]
+	for n := cmd.Replies(req); n > 0; n-- {
+		r, err := c.dec.ReadReply(req.Type)
 		if err != nil {
 			c.dropConn()
 			return nil, retryableError{err}
 		}
-		line = strings.TrimRight(line, "\r\n")
-		if errRecovering(line) {
+		if r.Kind == wire.TErr && errRecovering(r.Msg) {
 			// The server refuses connections mid-recovery and closes them;
 			// drop ours and redial after backoff.
 			c.dropConn()
-			return nil, retryableError{fmt.Errorf("server recovering: %s", line)}
+			return nil, retryableError{fmt.Errorf("server recovering: ERR %s", r.Msg)}
 		}
-		lines = append(lines, line)
+		// The decoder's value aliases its read buffer; keep a copy (earlier
+		// copies survive growth: they keep the old backing array alive).
+		off := len(c.vals)
+		c.vals = append(c.vals, r.Val...)
+		r.Val = c.vals[off:len(c.vals):len(c.vals)]
+		c.replies = append(c.replies, r)
 	}
-	return lines, nil
+	return c.replies, nil
 }
 
-// roundTripBin is roundTrip over the binary protocol: the request line is
-// parsed once here, encoded as frames, and the reply frames are rendered
-// back into the text protocol's line shapes, so every caller above this
-// point is protocol-blind. MGET/MDEL read n frames (one per key); every
-// other command reads one.
-func (c *Client) roundTripBin(req string, n int, lines []string) ([]string, error) {
-	f := strings.Fields(req)
-	if len(f) == 0 {
-		return nil, fmt.Errorf("kvclient: empty request")
-	}
-	cmd, args := strings.ToUpper(f[0]), f[1:]
-	toBytes := func(ss []string) [][]byte {
-		bs := make([][]byte, len(ss))
-		for i, s := range ss {
-			bs[i] = []byte(s)
-		}
-		return bs
-	}
-	// uintVerb renders a TUint reply in the command's text shape.
-	uintVerb, frames := "OK", 1
-	switch cmd {
-	case "GET":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("kvclient: usage: GET <key>")
-		}
-		c.enc.Get([]byte(args[0]))
-	case "PUT":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("kvclient: usage: PUT <key> <value>")
-		}
-		c.enc.Put([]byte(args[0]), []byte(args[1]))
-	case "DEL":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("kvclient: usage: DEL <key>")
-		}
-		c.enc.Del([]byte(args[0]))
-	case "MGET":
-		if len(args) == 0 {
-			return nil, fmt.Errorf("kvclient: usage: MGET <key> ...")
-		}
-		c.enc.MGet(toBytes(args))
-		frames = len(args)
-	case "MDEL":
-		if len(args) == 0 {
-			return nil, fmt.Errorf("kvclient: usage: MDEL <key> ...")
-		}
-		c.enc.MDel(toBytes(args))
-		frames = len(args)
-	case "MPUT":
-		if len(args) == 0 || len(args)%2 != 0 {
-			return nil, fmt.Errorf("kvclient: usage: MPUT <key> <value> ...")
-		}
-		c.enc.MPut(toBytes(args))
-	case "LEN":
-		c.enc.Request0(wire.TLen)
-		uintVerb = "LEN"
-	case "SYNC":
-		c.enc.Request0(wire.TSync)
-	case "INFO":
-		c.enc.Request0(wire.TInfo)
-	case "CHECKPOINT":
-		c.enc.Request0(wire.TCheckpoint)
-	case "CRASH":
-		c.enc.Request0(wire.TCrash)
-	default:
-		// STATS/PROMOTE/REPLINFO/QUIT have no frames; they are text-protocol
-		// debug commands. Not retryable: the request can never succeed here.
-		return nil, fmt.Errorf("kvclient: %s is not supported over the binary protocol", cmd)
-	}
-	if frames < n {
-		frames = n
-	}
-	if err := c.enc.Flush(); err != nil {
-		c.dropConn()
-		return nil, retryableError{err}
-	}
-	lines = lines[:0]
-	for i := 0; i < frames; i++ {
-		typ, payload, err := c.frames.Next()
-		if err != nil {
-			c.dropConn()
-			return nil, retryableError{err}
-		}
-		switch typ {
-		case wire.TOK:
-			lines = append(lines, "OK")
-		case wire.TNil:
-			lines = append(lines, "NIL")
-		case wire.TVal:
-			lines = append(lines, "VAL "+string(payload))
-		case wire.TUint:
-			v, err := wire.DecodeUintPayload(payload)
-			if err != nil {
-				c.dropConn()
-				return nil, retryableError{err}
-			}
-			lines = append(lines, fmt.Sprintf("%s %d", uintVerb, v))
-		case wire.TErr:
-			line := "ERR " + string(payload)
-			if errRecovering(line) {
-				c.dropConn()
-				return nil, retryableError{fmt.Errorf("server recovering: %s", line)}
-			}
-			lines = append(lines, line)
-		case wire.TText:
-			lines = append(lines, strings.Split(string(payload), "\n")...)
-		default:
-			c.dropConn()
-			return nil, retryableError{fmt.Errorf("kvclient: unexpected response frame %v", typ)}
-		}
-	}
-	return lines, nil
-}
-
-// Do sends one request line and returns one reply line, retrying transport
-// failures and recovery refusals.
-func (c *Client) Do(req string) (string, error) {
-	lines, err := c.DoLines(req, 1)
-	if err != nil {
-		return "", err
-	}
-	return lines[0], nil
-}
-
-// DoLines sends one request line and reads exactly n reply lines (MGET and
-// MDEL reply one line per key).
-func (c *Client) DoLines(req string, n int) ([]string, error) {
-	var out []string
-	err := c.withRetry(func() error {
-		lines, err := c.roundTrip(req, n, out)
-		if err != nil {
-			return err
-		}
-		out = lines
-		return nil
+// do is roundTrip under the retry discipline.
+func (c *Client) do(req wire.Request) (replies []wire.Reply, err error) {
+	err = c.withRetry(func() error {
+		replies, err = c.roundTrip(req)
+		return err
 	})
-	return out, err
+	return replies, err
+}
+
+// one runs a single-reply request of key (and value) and holds the reply to
+// the kinds the command's table row allows; an ERR reply becomes an error.
+func (c *Client) one(t wire.Type, key, val string, kinds ...wire.Type) (wire.Reply, error) {
+	req := wire.Request{Type: t}
+	what := t.String()
+	if cmd, ok := wire.Lookup(t); ok && cmd.Args != wire.ArgsNone {
+		what += " " + key
+		c.kbuf = append(append(c.kbuf[:0], key...), val...)
+		c.op[0] = kv.Op{Kind: cmd.Op, Key: c.kbuf[:len(key):len(key)]}
+		if cmd.Args == wire.ArgsKeyValue {
+			c.op[0].Value = c.kbuf[len(key):]
+		}
+		req.Ops = c.op[:]
+	}
+	replies, err := c.do(req)
+	if err != nil {
+		return wire.Reply{}, err
+	}
+	r := replies[0]
+	for _, k := range kinds {
+		if r.Kind == k {
+			return r, nil
+		}
+	}
+	if r.Kind == wire.TErr {
+		return r, fmt.Errorf("kvclient: %s: ERR %s", what, r.Msg)
+	}
+	return r, fmt.Errorf("kvclient: %s: unexpected %v reply %q", what, r.Kind, r.Msg)
 }
 
 // Get fetches one key; ok reports presence.
 func (c *Client) Get(key string) (val string, ok bool, err error) {
-	line, err := c.Do("GET " + key)
-	switch {
-	case err != nil:
-		return "", false, err
-	case line == "NIL":
-		return "", false, nil
-	case strings.HasPrefix(line, "VAL "):
-		return line[4:], true, nil
-	default:
-		return "", false, fmt.Errorf("kvclient: GET %s: %s", key, line)
-	}
+	r, err := c.one(wire.TGet, key, "", wire.TVal, wire.TNil)
+	return string(r.Val), r.Kind == wire.TVal, err
 }
 
 // Put writes one key.
 func (c *Client) Put(key, val string) error {
-	return c.expectOK(fmt.Sprintf("PUT %s %s", key, val))
+	_, err := c.one(wire.TPut, key, val, wire.TOK)
+	return err
 }
 
 // Del removes one key; ok reports whether it existed (false covers both NIL
 // and an earlier attempt of a retried delete having already removed it).
 func (c *Client) Del(key string) (bool, error) {
-	line, err := c.Do("DEL " + key)
-	switch {
-	case err != nil:
-		return false, err
-	case line == "OK":
-		return true, nil
-	case line == "NIL":
-		return false, nil
-	default:
-		return false, fmt.Errorf("kvclient: DEL %s: %s", key, line)
+	r, err := c.one(wire.TDel, key, "", wire.TOK, wire.TNil)
+	return r.Kind == wire.TOK, err
+}
+
+// Apply runs ops — all gets, all puts, or all deletes, the batches the
+// protocol has a command for — as one multi-operation request: one frame (or
+// line), one scheduler request, at most one group commit per shard. Gets and
+// deletes draw one reply per op, in order (VAL or NIL; OK or NIL); puts draw
+// a single count. A per-op failure is an ERR reply, not an error. The replies
+// are valid until the client's next request.
+func (c *Client) Apply(ops []kv.Op) ([]wire.Reply, error) {
+	if len(ops) == 0 {
+		return nil, nil
 	}
+	req := wire.Request{Ops: ops}
+	switch ops[0].Kind {
+	case kv.OpGet:
+		req.Type = wire.TMGet
+	case kv.OpPut:
+		req.Type = wire.TMPut
+	case kv.OpDelete:
+		req.Type = wire.TMDel
+	}
+	for i := range ops {
+		if ops[i].Kind != ops[0].Kind {
+			return nil, fmt.Errorf("kvclient: Apply: no command runs a mixed batch (%v, then %v)", ops[0].Kind, ops[i].Kind)
+		}
+	}
+	return c.do(req)
 }
 
 // Sync runs the server's durability barrier. A successful reply is the
 // acknowledgement the replication drills build on: everything this client
 // wrote before the Sync is rollback-proof (and, in -repl-sync mode, durable
 // on the replica).
-func (c *Client) Sync() error { return c.expectOK("SYNC") }
+func (c *Client) Sync() error {
+	_, err := c.one(wire.TSync, "", "", wire.TOK)
+	return err
+}
 
 // Len returns the live entry count.
 func (c *Client) Len() (uint64, error) {
-	line, err := c.Do("LEN")
-	if err != nil {
-		return 0, err
-	}
-	var n uint64
-	if _, err := fmt.Sscanf(line, "LEN %d", &n); err != nil {
-		return 0, fmt.Errorf("kvclient: LEN: %s", line)
-	}
-	return n, nil
+	r, err := c.one(wire.TLen, "", "", wire.TUint)
+	return r.N, err
 }
 
-// expectOK runs a command whose happy reply is exactly "OK".
-func (c *Client) expectOK(req string) error {
-	line, err := c.Do(req)
+// Info fetches the server's metrics snapshot.
+func (c *Client) Info() (map[string]int64, error) {
+	r, err := c.one(wire.TInfo, "", "", wire.TText)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if line != "OK" {
-		return fmt.Errorf("kvclient: %s: %s", strings.Fields(req)[0], line)
+	lines := strings.Split(r.Msg, "\n")
+	m := make(map[string]int64, len(lines)-1)
+	for _, l := range lines[1:] {
+		name, val, _ := strings.Cut(l, " ")
+		if m[name], err = strconv.ParseInt(val, 10, 64); err != nil {
+			return nil, fmt.Errorf("kvclient: INFO line %q: %w", l, err)
+		}
 	}
-	return nil
+	return m, nil
+}
+
+// summary runs a control command answered by one line of text.
+func (c *Client) summary(t wire.Type) (string, error) {
+	r, err := c.one(t, "", "", wire.TText)
+	return r.Msg, err
+}
+
+// Checkpoint runs an incremental checkpoint and returns its summary line.
+func (c *Client) Checkpoint() (string, error) { return c.summary(wire.TCheckpoint) }
+
+// Crash injects a power failure, waits out the recovery, and returns its
+// summary line. Recovery can outlast Config.Timeout under the race detector;
+// size the timeout accordingly, or the retry re-crashes the server.
+func (c *Client) Crash() (string, error) { return c.summary(wire.TCrash) }
+
+// Promote turns a replica into a primary and returns the announced position.
+func (c *Client) Promote() (string, error) { return c.summary(wire.TPromote) }
+
+// ReplInfo returns the one-line replication summary.
+func (c *Client) ReplInfo() (string, error) { return c.summary(wire.TReplInfo) }
+
+// Do is the debug shim: it parses one request line as the server would, runs
+// it through the same round trip as the typed methods, and renders the
+// replies as the text protocol would — lines joined by newlines, an ERR reply
+// as its "ERR ..." line.
+func (c *Client) Do(line string) (string, error) {
+	req, err := wire.ParseLine([]byte(line), nil)
+	if err != nil {
+		return "", fmt.Errorf("kvclient: %w", err)
+	}
+	replies, err := c.do(req)
+	if err != nil {
+		return "", err
+	}
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	enc := wire.NewLineEncoder(w)
+	for _, r := range replies {
+		enc.WriteReply(req.Type, r)
+	}
+	w.Flush()
+	return strings.TrimSuffix(b.String(), "\n"), nil
 }

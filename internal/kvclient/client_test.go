@@ -2,12 +2,16 @@ package kvclient
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"crafty/internal/kv"
+	"crafty/internal/wire"
 )
 
 // fakeServer answers the text protocol from an in-memory map, optionally
@@ -49,7 +53,7 @@ func startFake(t *testing.T) *fakeServer {
 					if err != nil {
 						return
 					}
-					if n := s.dropEvery; n > 0 && s.reqCounter.Add(1)%n == 0 {
+					if n := s.dropEvery; s.reqCounter.Add(1)%max(n, 1) == 0 && n > 0 {
 						return // sever mid-conversation: reply lost
 					}
 					parts := strings.Fields(strings.TrimSpace(line))
@@ -127,6 +131,43 @@ func TestBasicCommands(t *testing.T) {
 	}
 	if c.Retries() != 0 {
 		t.Fatalf("clean run performed %d retries", c.Retries())
+	}
+}
+
+// TestTextRefusesUnframeableTokens: a key or value the text codec cannot
+// carry — empty, or holding a blank or a newline — is refused with a typed
+// error before anything is sent; it used to be written as is, so
+// Put("a b", "v") stored key "a", and a newline in a value shifted every
+// later reply by one.
+func TestTextRefusesUnframeableTokens(t *testing.T) {
+	s := startFake(t)
+	c, err := Dial(s.l.Addr().String(), testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var notText *wire.NotTextError
+	for _, pair := range [][2]string{{"a b", "v"}, {"", "v"}, {"k", ""}, {"k", "a b"}, {"k", "line\nOK injected"}, {"tab\tkey", "v"}, {"cr\r", "v"}} {
+		if err := c.Put(pair[0], pair[1]); !errors.As(err, &notText) {
+			t.Errorf("Put(%q, %q) = %v, want a NotTextError", pair[0], pair[1], err)
+		}
+	}
+	if _, _, err := c.Get("a b"); !errors.As(err, &notText) {
+		t.Errorf("Get(\"a b\") = %v, want a NotTextError", err)
+	}
+	if _, err := c.Del("a\nLEN"); !errors.As(err, &notText) {
+		t.Errorf("Del with a newline = %v, want a NotTextError", err)
+	}
+	if _, err := c.Apply([]kv.Op{{Kind: kv.OpGet, Key: []byte("ok")}, {Kind: kv.OpGet, Key: []byte("not ok")}}); !errors.As(err, &notText) {
+		t.Errorf("Apply with a blank in a key = %v, want a NotTextError", err)
+	}
+	// Nothing reached the server, nothing was retried, and the connection is
+	// still in step.
+	if n := s.reqCounter.Load(); n != 0 {
+		t.Errorf("%d requests reached the server", n)
+	}
+	if n, err := c.Len(); err != nil || n != 0 || c.Retries() != 0 {
+		t.Fatalf("Len = %d %v after the refusals (%d retries)", n, err, c.Retries())
 	}
 }
 

@@ -179,116 +179,105 @@ func (c *cursor) str() ([]byte, error) {
 
 // DecodeRequest parses a request frame's payload into ops, appending one
 // kv.Op per wire operation — a multi-op frame decodes 1:1 into the op slice
-// one Store.Apply group executes. Keys and values alias payload (zero-copy);
-// they are valid only while the frame buffer is. Keys and put values must be
-// non-empty (the text protocol cannot express empty tokens and the store's
-// semantics are defined over non-empty ones), counts must match the payload
-// exactly, and trailing bytes are an error, so every frame has exactly one
-// meaning.
+// one Store.Apply group executes; Request{t, ops} is then the decoded command.
+// Keys and values alias payload (zero-copy); they are valid only while the
+// frame buffer is. Keys and put values must be non-empty (the text codec
+// cannot express empty tokens and the store's semantics are defined over
+// non-empty ones), counts must match the payload exactly, and trailing bytes
+// are an error, so every frame has exactly one meaning.
 func DecodeRequest(t Type, payload []byte, ops []kv.Op) ([]kv.Op, error) {
-	switch t {
-	case TGet, TDel:
+	cmd, ok := Lookup(t)
+	if !ok {
+		return ops, unknownType(t)
+	}
+	pairs := cmd.Args == ArgsKeyValue || cmd.Args == ArgsPairs
+	switch cmd.Args {
+	case ArgsNone:
+		if len(payload) != 0 {
+			return ops, protoErrf("%v: unexpected %d-byte payload", t, len(payload))
+		}
+		return ops, nil
+
+	case ArgsKey:
 		if len(payload) == 0 {
 			return ops, protoErrf("%v: empty key", t)
 		}
-		kind := kv.OpGet
-		if t == TDel {
-			kind = kv.OpDelete
-		}
-		return append(ops, kv.Op{Kind: kind, Key: payload}), nil
+		return append(ops, kv.Op{Kind: cmd.Op, Key: payload}), nil
+	}
 
-	case TPut:
-		c := cursor{payload}
-		key, err := c.str()
-		if err != nil {
-			return ops, err
-		}
-		val, err := c.str()
-		if err != nil {
-			return ops, err
-		}
-		if len(key) == 0 || len(val) == 0 {
-			return ops, protoErrf("PUT: empty key or value")
-		}
-		if len(c.b) != 0 {
-			return ops, protoErrf("PUT: %d trailing bytes", len(c.b))
-		}
-		return append(ops, kv.Op{Kind: kv.OpPut, Key: key, Value: val}), nil
-
-	case TMGet, TMDel:
-		kind := kv.OpGet
-		if t == TMDel {
-			kind = kv.OpDelete
-		}
-		c := cursor{payload}
-		n, err := c.uint()
-		if err != nil {
+	c := cursor{payload}
+	n := uint64(1)
+	if cmd.Args != ArgsKeyValue {
+		var err error
+		if n, err = c.uint(); err != nil {
 			return ops, err
 		}
 		if n == 0 {
 			return ops, protoErrf("%v: zero operations", t)
 		}
 		// Each key needs at least its length byte plus one byte, so a count
-		// beyond half the remaining payload cannot be satisfied — reject it
-		// before looping rather than trusting an attacker-chosen count.
+		// beyond the remaining payload cannot be satisfied — reject it before
+		// looping rather than trusting an attacker-chosen count.
 		if n > uint64(len(c.b)) {
 			return ops, protoErrf("%v: count %d overruns the frame", t, n)
 		}
-		for i := uint64(0); i < n; i++ {
-			key, err := c.str()
-			if err != nil {
-				return ops, err
-			}
-			if len(key) == 0 {
-				return ops, protoErrf("%v: empty key", t)
-			}
-			ops = append(ops, kv.Op{Kind: kind, Key: key})
-		}
-		if len(c.b) != 0 {
-			return ops, protoErrf("%v: %d trailing bytes", t, len(c.b))
-		}
-		return ops, nil
-
-	case TMPut:
-		c := cursor{payload}
-		n, err := c.uint()
-		if err != nil {
+	}
+	for i := uint64(0); i < n; i++ {
+		op := kv.Op{Kind: cmd.Op}
+		var err error
+		if op.Key, err = c.str(); err != nil {
 			return ops, err
 		}
-		if n == 0 {
-			return ops, protoErrf("MPUT: zero operations")
-		}
-		if n > uint64(len(c.b)) {
-			return ops, protoErrf("MPUT: count %d overruns the frame", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			key, err := c.str()
-			if err != nil {
+		if pairs {
+			if op.Value, err = c.str(); err != nil {
 				return ops, err
 			}
-			val, err := c.str()
-			if err != nil {
-				return ops, err
+			if len(op.Key) == 0 || len(op.Value) == 0 {
+				return ops, protoErrf("%v: empty key or value", t)
 			}
-			if len(key) == 0 || len(val) == 0 {
-				return ops, protoErrf("MPUT: empty key or value")
-			}
-			ops = append(ops, kv.Op{Kind: kv.OpPut, Key: key, Value: val})
+		} else if len(op.Key) == 0 {
+			return ops, protoErrf("%v: empty key", t)
 		}
-		if len(c.b) != 0 {
-			return ops, protoErrf("MPUT: %d trailing bytes", len(c.b))
-		}
-		return ops, nil
-
-	case TLen, TSync, TInfo, TCheckpoint, TCrash:
-		if len(payload) != 0 {
-			return ops, protoErrf("%v: unexpected %d-byte payload", t, len(payload))
-		}
-		return ops, nil
-
-	default:
-		return ops, protoErrf("unknown frame type 0x%02x", uint8(t))
+		ops = append(ops, op)
 	}
+	if len(c.b) != 0 {
+		return ops, protoErrf("%v: %d trailing bytes", t, len(c.b))
+	}
+	return ops, nil
+}
+
+// DecodeReply parses a response frame into a Reply. Val aliases payload.
+func DecodeReply(t Type, payload []byte) (Reply, error) {
+	r := Reply{Kind: t}
+	switch t {
+	case TOK, TNil:
+		if len(payload) != 0 {
+			return r, protoErrf("%v: unexpected %d-byte payload", t, len(payload))
+		}
+	case TVal:
+		r.Val = payload
+	case TUint:
+		var err error
+		if r.N, err = DecodeUintPayload(payload); err != nil {
+			return r, err
+		}
+	case TErr, TText:
+		r.Msg = string(payload)
+	default:
+		return r, protoErrf("unexpected response frame %v", t)
+	}
+	return r, nil
+}
+
+// ReadReply reads one response frame as a Reply; frames describe themselves,
+// so the command being answered is not consulted. Val aliases the Reader's
+// buffers, valid until the next read.
+func (d *Reader) ReadReply(Type) (Reply, error) {
+	t, payload, err := d.Next()
+	if err != nil {
+		return Reply{}, err
+	}
+	return DecodeReply(t, payload)
 }
 
 // DecodeUintPayload decodes a TUint response payload: exactly one integer,

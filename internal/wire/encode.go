@@ -70,27 +70,6 @@ func (e *Encoder) Put(key, value []byte) error {
 	return e.err()
 }
 
-// MGet writes a TMGet request over keys.
-func (e *Encoder) MGet(keys [][]byte) error { return e.keyList(TMGet, keys) }
-
-// MDel writes a TMDel request over keys.
-func (e *Encoder) MDel(keys [][]byte) error { return e.keyList(TMDel, keys) }
-
-// MPut writes a TMPut request from alternating key/value slices (kvs must
-// have even length).
-func (e *Encoder) MPut(kvs [][]byte) error {
-	size := SizeUint(uint64(len(kvs) / 2))
-	for _, b := range kvs {
-		size += sizeString(b)
-	}
-	e.header(TMPut, size)
-	e.putUint(uint64(len(kvs) / 2))
-	for _, b := range kvs {
-		e.putString(b)
-	}
-	return e.err()
-}
-
 // Ops writes the multi-op request frame matching t (TMGet, TMPut, or TMDel)
 // from the scheduler's op shape — the encode mirror of DecodeRequest.
 func (e *Encoder) Ops(t Type, ops []kv.Op) error {
@@ -112,11 +91,53 @@ func (e *Encoder) Ops(t Type, ops []kv.Op) error {
 	return e.err()
 }
 
-// Request0 writes one of the empty-payload requests (TLen, TSync, TInfo,
-// TCheckpoint, TCrash).
+// Request0 writes one of the empty-payload requests (the ArgsNone commands).
 func (e *Encoder) Request0(t Type) error {
 	e.header(t, 0)
 	return e.err()
+}
+
+// Request writes req as one frame, after holding its operand count to the
+// command's layout. It returns only that validation error; I/O errors are
+// bufio-sticky and surface at Flush.
+func (e *Encoder) Request(req Request) error {
+	cmd, ok := Lookup(req.Type)
+	if !ok {
+		return unknownType(req.Type)
+	}
+	if err := cmd.check(req.Ops); err != nil {
+		return err
+	}
+	switch cmd.Args {
+	case ArgsNone:
+		e.Request0(req.Type)
+	case ArgsKey:
+		e.raw(req.Type, req.Ops[0].Key)
+	case ArgsKeyValue:
+		e.Put(req.Ops[0].Key, req.Ops[0].Value)
+	default:
+		e.Ops(req.Type, req.Ops)
+	}
+	return nil
+}
+
+// WriteReply writes r as one response frame; frames describe themselves, so
+// the command being answered is not consulted.
+func (e *Encoder) WriteReply(_ Type, r Reply) error {
+	switch r.Kind {
+	case TOK:
+		return e.OK()
+	case TNil:
+		return e.Nil()
+	case TVal:
+		return e.Val(r.Val)
+	case TUint:
+		return e.Uint(r.N)
+	case TErr:
+		return e.Err(r.Msg)
+	default:
+		return e.Text(r.Msg)
+	}
 }
 
 // OK writes a TOK response.
@@ -157,19 +178,6 @@ func (e *Encoder) raw(t Type, b []byte) error {
 func (e *Encoder) rawString(t Type, s string) error {
 	e.header(t, len(s))
 	e.w.WriteString(s)
-	return e.err()
-}
-
-func (e *Encoder) keyList(t Type, keys [][]byte) error {
-	size := SizeUint(uint64(len(keys)))
-	for _, k := range keys {
-		size += sizeString(k)
-	}
-	e.header(t, size)
-	e.putUint(uint64(len(keys)))
-	for _, k := range keys {
-		e.putString(k)
-	}
 	return e.err()
 }
 

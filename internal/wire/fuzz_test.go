@@ -23,11 +23,13 @@ func FuzzReader(f *testing.F) {
 	e.Get([]byte("key"))
 	e.Put([]byte("key"), []byte("value"))
 	e.Del([]byte("key"))
-	e.MGet([][]byte{[]byte("a"), []byte("b")})
-	e.MPut([][]byte{[]byte("k"), []byte("v")})
-	e.MDel([][]byte{[]byte("a")})
-	for _, t := range []Type{TLen, TSync, TInfo, TCheckpoint, TCrash} {
-		e.Request0(t)
+	e.Ops(TMGet, []kv.Op{{Key: []byte("a")}, {Key: []byte("b")}})
+	e.Ops(TMPut, []kv.Op{{Key: []byte("k"), Value: []byte("v")}})
+	e.Ops(TMDel, []kv.Op{{Key: []byte("a")}})
+	for i := range Commands {
+		if Commands[i].Args == ArgsNone {
+			e.Request0(Commands[i].Type)
+		}
 	}
 	e.OK()
 	e.Nil()
@@ -70,7 +72,8 @@ func FuzzReader(f *testing.F) {
 			ops, err = DecodeRequest(typ, payload, ops)
 			if err != nil {
 				var pe *ProtocolError
-				if !errors.As(err, &pe) {
+				var unknown *UnknownCommandError
+				if !errors.As(err, &pe) && !errors.As(err, &unknown) {
 					t.Fatalf("untyped DecodeRequest error: %v (%T)", err, err)
 				}
 				continue

@@ -1,23 +1,30 @@
-// Package wire is the craftykv binary protocol: length-prefixed frames with
-// TLV-style minimum-width integer encoding, a versioned handshake that lets
-// the server tell binary clients from line-protocol clients by the first
-// byte, and a zero-copy request decoder that parses multi-op frames straight
-// into the scheduler's kv.Op slices.
+// Package wire is the craftykv command model and its two codecs. One table
+// (Commands) names every command — its text spelling, its request frame
+// type, how its operands are laid out, whether it mutates, and the shape of
+// its replies — and both codecs are thin layers over that table:
 //
-// Grammar (all integers use the minimum-width encoding of AppendUint):
+//   - the frame codec: length-prefixed frames with TLV-style minimum-width
+//     integer encoding, opened by a versioned handshake that lets the server
+//     tell binary clients from line-protocol clients by the first byte;
+//   - the text codec (text.go): one request per line, space-separated tokens,
+//     replies as lines — the drop-in debug protocol.
+//
+// A Request or Reply value means the same thing whichever codec carried it;
+// the server dispatches Requests and renders Replies and never sees bytes.
+//
+// Frame grammar (all integers use the minimum-width encoding of AppendUint):
 //
 //	handshake = 0xCF 'K' 'V' version '\n'        (both directions, once)
 //	frame     = size type payload                (size covers type+payload)
 //	string    = len bytes                        (len > 0 for keys/values)
 //
-// Request payloads:
+// Request payloads, by the command's Args:
 //
-//	TGet, TDel          key bytes (the whole payload; no inner length)
-//	TPut                key-string value-string
-//	TMGet, TMDel        count, then count key-strings
-//	TMPut               count, then count (key-string value-string) pairs
-//	TLen, TSync, TInfo,
-//	TCheckpoint, TCrash empty
+//	ArgsKey       key bytes (the whole payload; no inner length)
+//	ArgsKeyValue  key-string value-string
+//	ArgsKeys      count, then count key-strings
+//	ArgsPairs     count, then count (key-string value-string) pairs
+//	ArgsNone      empty
 //
 // Response payloads:
 //
@@ -28,12 +35,11 @@
 //	TText               text blob (raw; may hold many lines, e.g. INFO)
 //
 // The first handshake byte (0xCF) can never start a text command, so one
-// Peek distinguishes the protocols and the line protocol survives unchanged
-// as the debug mode. Decoding is zero-copy: frame payloads live in the
-// Reader's reusable buffer and every decoded key/value aliases it, valid
-// only until the next Next call — callers that hand ops to another goroutine
-// must copy first (the craftykv scheduler copies at request build time, the
-// same boundary the text path uses).
+// Peek distinguishes the codecs. Decoding is zero-copy in both: frame
+// payloads live in the Reader's reusable buffer, text tokens in the caller's
+// line, and every decoded key/value aliases them, valid only until the next
+// read — callers that hand ops to another goroutine must copy first (the
+// craftykv scheduler copies once, at request build time).
 package wire
 
 import (
@@ -79,6 +85,9 @@ const (
 	TInfo
 	TCheckpoint
 	TCrash
+	TPromote
+	TReplInfo
+	TQuit
 )
 
 const (
@@ -91,31 +100,13 @@ const (
 	TText
 )
 
-// String names a frame type for diagnostics.
+// String names a frame type for diagnostics: a request type by its command's
+// text spelling, a response type by its reply word.
 func (t Type) String() string {
+	if c, ok := Lookup(t); ok {
+		return c.Name
+	}
 	switch t {
-	case TGet:
-		return "GET"
-	case TPut:
-		return "PUT"
-	case TDel:
-		return "DEL"
-	case TMGet:
-		return "MGET"
-	case TMPut:
-		return "MPUT"
-	case TMDel:
-		return "MDEL"
-	case TLen:
-		return "LEN"
-	case TSync:
-		return "SYNC"
-	case TInfo:
-		return "INFO"
-	case TCheckpoint:
-		return "CHECKPOINT"
-	case TCrash:
-		return "CRASH"
 	case TOK:
 		return "OK"
 	case TNil:

@@ -58,8 +58,8 @@ func TestUintRejectsNonMinimal(t *testing.T) {
 		{tag16, 0x05, 0x00},                                     // 5 as 16-bit
 		{tag32, 0xFF, 0xFF, 0x00, 0x00},                         // 0xFFFF as 32-bit
 		{tag64, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}, // 1 as 64-bit
-		{0xFB}, // reserved tag
-		{0xFF}, // reserved tag
+		{0xFB},        // reserved tag
+		{0xFF},        // reserved tag
 		{tag16, 0x01}, // truncated
 		{},            // empty
 	}
@@ -147,9 +147,9 @@ func opsEqual(a, b []kv.Op) bool {
 // the same op slice, losslessly, across the width buckets of the integer
 // encoding (sub-248, 16-bit, and 32-bit lengths).
 func TestRequestRoundTrip(t *testing.T) {
-	big := bytes.Repeat([]byte("v"), 300)      // 16-bit length
-	huge := bytes.Repeat([]byte("w"), 1<<17)   // 32-bit length
-	long := bytes.Repeat([]byte("k"), 0xF8)    // exactly the first 16-bit length
+	big := bytes.Repeat([]byte("v"), 300)    // 16-bit length
+	huge := bytes.Repeat([]byte("w"), 1<<17) // 32-bit length
+	long := bytes.Repeat([]byte("k"), 0xF8)  // exactly the first 16-bit length
 	cases := []struct {
 		name   string
 		encode func(*Encoder) error
@@ -167,15 +167,17 @@ func TestRequestRoundTrip(t *testing.T) {
 			[]kv.Op{{Kind: kv.OpPut, Key: []byte("k"), Value: big}}},
 		{"put_huge_value", func(e *Encoder) error { return e.Put([]byte("k"), huge) },
 			[]kv.Op{{Kind: kv.OpPut, Key: []byte("k"), Value: huge}}},
-		{"mget", func(e *Encoder) error { return e.MGet([][]byte{[]byte("a"), []byte("b"), []byte("c")}) },
-			[]kv.Op{{Kind: kv.OpGet, Key: []byte("a")}, {Kind: kv.OpGet, Key: []byte("b")}, {Kind: kv.OpGet, Key: []byte("c")}}},
-		{"mdel", func(e *Encoder) error { return e.MDel([][]byte{[]byte("x"), []byte("y")}) },
-			[]kv.Op{{Kind: kv.OpDelete, Key: []byte("x")}, {Kind: kv.OpDelete, Key: []byte("y")}}},
-		{"mput", func(e *Encoder) error {
-			return e.MPut([][]byte{[]byte("k1"), []byte("v1"), []byte("k2"), big})
-		},
-			[]kv.Op{{Kind: kv.OpPut, Key: []byte("k1"), Value: []byte("v1")}, {Kind: kv.OpPut, Key: []byte("k2"), Value: big}}},
 	}
+	multi := func(t Type, want []kv.Op) {
+		cases = append(cases, struct {
+			name   string
+			encode func(*Encoder) error
+			want   []kv.Op
+		}{strings.ToLower(t.String()), func(e *Encoder) error { return e.Ops(t, want) }, want})
+	}
+	multi(TMGet, []kv.Op{{Kind: kv.OpGet, Key: []byte("a")}, {Kind: kv.OpGet, Key: []byte("b")}, {Kind: kv.OpGet, Key: []byte("c")}})
+	multi(TMDel, []kv.Op{{Kind: kv.OpDelete, Key: []byte("x")}, {Kind: kv.OpDelete, Key: []byte("y")}})
+	multi(TMPut, []kv.Op{{Kind: kv.OpPut, Key: []byte("k1"), Value: []byte("v1")}, {Kind: kv.OpPut, Key: []byte("k2"), Value: big}})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			raw := encodeAll(t, tc.encode)
@@ -198,19 +200,17 @@ func TestRequestRoundTrip(t *testing.T) {
 			for i := range payload {
 				payload[i] ^= 0xFF
 			}
-			// Encoder.Ops must produce the identical wire bytes for the
-			// multi-op shapes (the 1:1 mapping is canonical both ways).
-			if typ == TMGet || typ == TMPut || typ == TMDel {
-				raw2 := encodeAll(t, func(e *Encoder) error { return e.Ops(typ, tc.want) })
-				if !bytes.Equal(raw, raw2) {
-					t.Errorf("Encoder.Ops bytes differ from the specialized encoder")
-				}
+			// Encoder.Request must produce the identical wire bytes: the
+			// per-command encoders and the table-driven one are one codec.
+			raw2 := encodeAll(t, func(e *Encoder) error { return e.Request(Request{Type: typ, Ops: tc.want}) })
+			if !bytes.Equal(raw, raw2) {
+				t.Errorf("Encoder.Request bytes differ from the per-command encoder")
 			}
 		})
 	}
 
 	// Empty-payload requests round-trip too.
-	for _, typ := range []Type{TLen, TSync, TInfo, TCheckpoint, TCrash} {
+	for _, typ := range []Type{TLen, TSync, TInfo, TCheckpoint, TCrash, TPromote, TReplInfo, TQuit} {
 		t.Run(typ.String(), func(t *testing.T) {
 			raw := encodeAll(t, func(e *Encoder) error { return e.Request0(typ) })
 			got, payload := decodeOne(t, raw)
@@ -354,9 +354,9 @@ func TestReaderTruncation(t *testing.T) {
 func TestDecodeAllocationFree(t *testing.T) {
 	single := encodeAll(t, func(e *Encoder) error { return e.Put([]byte("key-000"), []byte("value-000")) })
 	multi := encodeAll(t, func(e *Encoder) error {
-		return e.MPut([][]byte{
-			[]byte("k1"), []byte("v1"), []byte("k2"), []byte("v2"),
-			[]byte("k3"), []byte("v3"), []byte("k4"), []byte("v4"),
+		return e.Ops(TMPut, []kv.Op{
+			{Kind: kv.OpPut, Key: []byte("k1"), Value: []byte("v1")}, {Kind: kv.OpPut, Key: []byte("k2"), Value: []byte("v2")},
+			{Kind: kv.OpPut, Key: []byte("k3"), Value: []byte("v3")}, {Kind: kv.OpPut, Key: []byte("k4"), Value: []byte("v4")},
 		})
 	})
 	for _, tc := range []struct {
