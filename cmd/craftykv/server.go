@@ -38,6 +38,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"log"
 	"net"
@@ -549,7 +550,9 @@ func (s *server) serveText(conn net.Conn, in *bufio.Reader, c *connReader) {
 			}
 			continue
 		}
-		if line := trimLine(raw); len(line) != 0 {
+		// The line (minus its ending, \n or \r\n) aliases the read buffer,
+		// valid until the next ReadSlice.
+		if line := bytes.TrimRight(raw, "\r\n"); len(line) != 0 {
 			s.obs.cmds.Inc(c.stripe)
 			req, perr := wire.ParseLine(line, scratch[:0])
 			scratch = req.Ops[:0]
@@ -561,15 +564,6 @@ func (s *server) serveText(conn net.Conn, in *bufio.Reader, c *connReader) {
 			return
 		}
 	}
-}
-
-// trimLine strips the trailing newline (and any \r) from a raw line; the
-// result aliases the connection read buffer, valid until the next ReadSlice.
-func trimLine(raw []byte) []byte {
-	for len(raw) > 0 && (raw[len(raw)-1] == '\n' || raw[len(raw)-1] == '\r') {
-		raw = raw[:len(raw)-1]
-	}
-	return raw
 }
 
 // connReader is one connection's decode-and-submit state.

@@ -198,7 +198,7 @@ func TestBinaryFallbackToText(t *testing.T) {
 	}
 	// The downgrade is sticky across reconnects: force a redial and check
 	// the client does not retry the handshake against the text server.
-	c.dropConn()
+	c.Close()
 	if err := c.Put("beta", "two"); err != nil {
 		t.Fatal(err)
 	}

@@ -226,47 +226,40 @@ func (c *Client) handshake() error {
 	c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 	hs := wire.AppendHandshake(nil, wire.Version)
 	if _, err := c.conn.Write(hs); err != nil {
-		c.dropConn()
-		return retryableError{err}
+		return c.lost(err)
 	}
 	first, err := c.r.Peek(1)
 	if err != nil {
-		c.dropConn()
-		return retryableError{err}
+		return c.lost(err)
 	}
 	if first[0] == wire.Magic0 {
 		var ack [wire.HandshakeLen]byte
 		if _, err := io.ReadFull(c.r, ack[:]); err != nil {
-			c.dropConn()
-			return retryableError{err}
+			return c.lost(err)
 		}
 		if _, err := wire.ParseHandshake(ack[:]); err != nil {
-			c.dropConn()
-			return retryableError{err}
+			return c.lost(err)
 		}
 		c.enc, c.dec, c.bin = wire.NewEncoder(c.w), wire.NewReader(c.r, 0), true
 		return nil
 	}
 	line, err := c.r.ReadString('\n')
 	if err != nil {
-		c.dropConn()
-		return retryableError{err}
+		return c.lost(err)
 	}
 	line = strings.TrimRight(line, "\r\n")
 	if errRecovering(strings.TrimPrefix(line, "ERR ")) || strings.HasPrefix(line, "ERR too many connections") {
-		c.dropConn()
-		return retryableError{fmt.Errorf("server refused connection: %s", line)}
+		return c.lost(fmt.Errorf("server refused connection: %s", line))
 	}
 	c.textOnly = true
 	return nil
 }
 
-// dropConn discards a connection after a failure mid-round-trip.
-func (c *Client) dropConn() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
+// lost drops the connection a failure happened on mid-round-trip; the failure
+// is worth a retry on a fresh one.
+func (c *Client) lost(err error) error {
+	c.Close()
+	return retryableError{err}
 }
 
 // withRetry runs op until success, a non-retryable failure, or the budget
@@ -308,21 +301,18 @@ func (c *Client) roundTrip(req wire.Request) ([]wire.Reply, error) {
 		return nil, fmt.Errorf("kvclient: %w", err)
 	}
 	if err := c.w.Flush(); err != nil {
-		c.dropConn()
-		return nil, retryableError{err}
+		return nil, c.lost(err)
 	}
 	c.replies, c.vals = c.replies[:0], c.vals[:0]
 	for n := cmd.Replies(req); n > 0; n-- {
 		r, err := c.dec.ReadReply(req.Type)
 		if err != nil {
-			c.dropConn()
-			return nil, retryableError{err}
+			return nil, c.lost(err)
 		}
 		if r.Kind == wire.TErr && errRecovering(r.Msg) {
 			// The server refuses connections mid-recovery and closes them;
 			// drop ours and redial after backoff.
-			c.dropConn()
-			return nil, retryableError{fmt.Errorf("server recovering: ERR %s", r.Msg)}
+			return nil, c.lost(fmt.Errorf("server recovering: ERR %s", r.Msg))
 		}
 		// The decoder's value aliases its read buffer; keep a copy (earlier
 		// copies survive growth: they keep the old backing array alive).

@@ -24,17 +24,13 @@ const (
 
 // Operands is the operand synopsis usage errors and the docs print.
 func (a Args) Operands() string {
-	switch a {
-	case ArgsKey:
-		return "<key>"
-	case ArgsKeyValue:
-		return "<key> <value>"
-	case ArgsKeys:
-		return "<key> [<key> ...]"
-	case ArgsPairs:
-		return "<key> <value> [<key> <value> ...]"
-	}
-	return ""
+	return [...]string{
+		ArgsNone:     "",
+		ArgsKey:      "<key>",
+		ArgsKeyValue: "<key> <value>",
+		ArgsKeys:     "<key> [<key> ...]",
+		ArgsPairs:    "<key> <value> [<key> <value> ...]",
+	}[a]
 }
 
 // Shape is what a command's replies look like. Any reply may instead be an
@@ -104,19 +100,15 @@ func (c *Command) Replies(req Request) int {
 
 // check holds a request's operand count to the command's layout.
 func (c *Command) check(ops []kv.Op) error {
+	ok := len(ops) > 0
 	switch c.Args {
 	case ArgsNone:
-		if len(ops) != 0 {
-			return &UsageError{c}
-		}
+		ok = len(ops) == 0
 	case ArgsKey, ArgsKeyValue:
-		if len(ops) != 1 {
-			return &UsageError{c}
-		}
-	default:
-		if len(ops) == 0 {
-			return &UsageError{c}
-		}
+		ok = len(ops) == 1
+	}
+	if !ok {
+		return &UsageError{c}
 	}
 	return nil
 }

@@ -106,19 +106,8 @@ func (t Type) String() string {
 	if c, ok := Lookup(t); ok {
 		return c.Name
 	}
-	switch t {
-	case TOK:
-		return "OK"
-	case TNil:
-		return "NIL"
-	case TVal:
-		return "VAL"
-	case TUint:
-		return "UINT"
-	case TErr:
-		return "ERR"
-	case TText:
-		return "TEXT"
+	if words := [...]string{"OK", "NIL", "VAL", "UINT", "ERR", "TEXT"}; t >= TOK && int(t-TOK) < len(words) {
+		return words[t-TOK]
 	}
 	return fmt.Sprintf("Type(0x%02x)", uint8(t))
 }
