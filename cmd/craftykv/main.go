@@ -1,7 +1,7 @@
 // Command craftykv serves the durable key-value store over TCP: flag parsing
-// and wiring around the server in server.go. The protocol — one command
-// table, a text codec and a frame codec over it — is documented in DESIGN.md
-// §14 and README.md.
+// and wiring around internal/server. The protocol — one command table, a
+// text codec and a frame codec over it — is documented in DESIGN.md §14 and
+// README.md.
 package main
 
 import (
@@ -9,6 +9,8 @@ import (
 	"log"
 	"net"
 	"time"
+
+	"crafty/internal/server"
 )
 
 func main() {
@@ -36,7 +38,7 @@ func main() {
 	)
 	flag.Parse()
 
-	srv, err := newServer(config{
+	srv, err := server.New(server.Config{
 		Shards:          *shards,
 		Slots:           *slots,
 		HeapWords:       *heapWords,
@@ -62,18 +64,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv.startPrimary(rl)
+		srv.StartPrimary(rl)
 		log.Printf("craftykv: replication stream on %s", rl.Addr())
 	}
 	if *replicaOf != "" {
-		srv.startReplica(*replicaOf, nil)
+		srv.StartReplica(*replicaOf, nil)
 		log.Printf("craftykv: replicating from %s (read-only until PROMOTE)", *replicaOf)
 	}
 	if *checkpoint > 0 {
-		srv.startCheckpointer(*checkpoint, make(chan struct{}))
+		srv.StartCheckpointer(*checkpoint, make(chan struct{}))
 	}
 	if *metricsLog > 0 {
-		srv.startMetricsLogger(*metricsLog, make(chan struct{}))
+		srv.StartMetricsLogger(*metricsLog, make(chan struct{}))
 	}
 	metricsOn := "off"
 	if *metricsAddr != "" {
@@ -81,18 +83,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv.serveMetrics(ml)
+		srv.ServeMetrics(ml)
 		metricsOn = ml.Addr().String()
 	}
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("craftykv: engine %q serving on %s", srv.eng.Name(), l.Addr())
 	log.Printf("craftykv: config: shards=%d slots=%d heap_words=%d arena_words=%d pool=%d drain=%d queue=%d checkpoint=%s persist_prob=%g paranoid=%t metrics=%s metrics_log=%s",
 		*shards, *slots, *heapWords, *arenaWords, *pool, *drain, *queue, *checkpoint, *persistProb, *paranoid, metricsOn, *metricsLog)
 	if *metricsAddr != "" {
 		log.Printf("craftykv: metrics on http://%s/metrics (pprof under /debug/pprof/)", metricsOn)
 	}
-	log.Fatal(srv.serve(l))
+	log.Fatal(srv.Serve(l))
 }

@@ -2,7 +2,7 @@
 // -conn-timeout idle/stall bound. Overload and dead peers must cost the
 // server an explicit refusal or a closed connection, never an unbounded
 // goroutine or fd.
-package main
+package server
 
 import (
 	"bufio"

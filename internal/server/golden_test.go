@@ -8,7 +8,7 @@
 // and checkpoint counts, reconnect counters). Regenerate with
 //
 //	go test -run TestGolden -update
-package main
+package server
 
 import (
 	"bufio"

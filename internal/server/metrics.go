@@ -7,7 +7,7 @@
 // one-liner. Hot paths stamp pre-registered instruments (allocation-free,
 // outside transaction bodies — see internal/obs and DESIGN.md §11); all
 // merging happens here, at snapshot time.
-package main
+package server
 
 import (
 	"fmt"
@@ -27,7 +27,7 @@ import (
 
 // serverMetrics is the server's instrument block. The engine and store blocks
 // (engM, kvM) are captured at startup and re-adopted into each recovered
-// engine/store (server.crash), so totals span crash incarnations; the
+// engine/store (Server.crash), so totals span crash incarnations; the
 // engine's own per-thread outcome counters reset at reopen and are sampled
 // as-is (they describe the current incarnation).
 type serverMetrics struct {
@@ -82,7 +82,7 @@ type serverMetrics struct {
 // must run after the workers exist (their queue-depth gauges close over the
 // queues) and before any worker goroutine starts (workers record drained
 // batch sizes unconditionally).
-func newServerMetrics(s *server) *serverMetrics {
+func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		reg:  reg,
@@ -221,7 +221,7 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 // infoText renders the merged snapshot for the INFO command: a header
 // with the line count, then one "name value" line per sample, so clients can
 // read exactly the right number of lines without a terminator convention.
-func (s *server) infoText() string {
+func (s *Server) infoText() string {
 	samples := s.obs.reg.Snapshot()
 	var b strings.Builder
 	fmt.Fprintf(&b, "INFO %d", len(samples))
@@ -234,11 +234,11 @@ func (s *server) infoText() string {
 	return b.String()
 }
 
-// serveMetrics serves the JSON snapshot and the pprof handlers on l. The mux
+// ServeMetrics serves the JSON snapshot and the pprof handlers on l. The mux
 // is explicit (not http.DefaultServeMux) so importing net/http/pprof's
 // side-effect registrations is unnecessary and nothing else can leak onto
 // this listener.
-func (s *server) serveMetrics(l net.Listener) {
+func (s *Server) ServeMetrics(l net.Listener) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -258,11 +258,11 @@ func (s *server) serveMetrics(l net.Listener) {
 	}()
 }
 
-// startMetricsLogger logs one summary line per interval until stop closes —
+// StartMetricsLogger logs one summary line per interval until stop closes —
 // the same background-goroutine pattern as the checkpointer. Rate-style
 // fields are deltas against the previous snapshot; depth/latency fields are
 // the current values.
-func (s *server) startMetricsLogger(interval time.Duration, stop chan struct{}) {
+func (s *Server) StartMetricsLogger(interval time.Duration, stop chan struct{}) {
 	go func() {
 		tick := time.NewTicker(interval)
 		defer tick.Stop()

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"encoding/json"
@@ -12,9 +12,9 @@ import (
 
 // startInstrumented is startServerCfg returning the server too, so tests can
 // reach its registry and metrics listener.
-func startInstrumented(t *testing.T) (*server, string) {
+func startInstrumented(t *testing.T) (*Server, string) {
 	t.Helper()
-	srv, err := newServer(config{
+	srv, err := New(Config{
 		Shards:      8,
 		Slots:       64,
 		HeapWords:   1 << 22,
@@ -30,7 +30,7 @@ func startInstrumented(t *testing.T) (*server, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go srv.serve(l)
+	go srv.Serve(l)
 	return srv, l.Addr().String()
 }
 
@@ -166,7 +166,7 @@ func TestMetricsHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ml.Close() })
-	srv.serveMetrics(ml)
+	srv.ServeMetrics(ml)
 
 	c := dial(t, addr)
 	c.expect(t, "PUT web-key web-value", "OK")

@@ -22,7 +22,7 @@
 // middle of an apply window is detected by the server's crash epoch and
 // poisons the position (deleted, durably), forcing a snapshot resync instead
 // of trusting a position that might be ahead of recovered data.
-package main
+package server
 
 import (
 	"errors"
@@ -52,7 +52,7 @@ func replReserved(key []byte) bool { return len(key) > 0 && key[0] == 0 }
 // log, and whichever endpoint (primary, replica, or both across a
 // promotion) is active.
 type replState struct {
-	srv *server
+	srv *Server
 
 	log *repl.Log
 	// gen is the replication generation. A fresh primary starts at 1; every
@@ -74,7 +74,7 @@ type replState struct {
 	applier *kvApplier
 }
 
-func newReplState(s *server, cfg config) *replState {
+func newReplState(s *Server, cfg Config) *replState {
 	rs := &replState{
 		srv:         s,
 		log:         repl.NewLog(cfg.ReplLogCap),
@@ -108,10 +108,10 @@ func (rs *replState) getReplica() *repl.Replica {
 // replication configured and currently acting as primary.
 func (rs *replState) tapping() bool { return !rs.isReplica.Load() }
 
-// startPrimary serves the replication protocol on l (the -repl-listen
+// StartPrimary serves the replication protocol on l (the -repl-listen
 // address). It is safe to start while still a replica: handshakes are
 // refused with "not primary" until a PROMOTE flips the role.
-func (s *server) startPrimary(l net.Listener) {
+func (s *Server) StartPrimary(l net.Listener) {
 	rs := s.repl
 	p := repl.NewPrimary(repl.PrimaryConfig{
 		Log:      rs.log,
@@ -134,10 +134,10 @@ func (s *server) startPrimary(l net.Listener) {
 	go p.Serve(l)
 }
 
-// startReplica begins replicating from the -replica-of primary. A nil dial
+// StartReplica begins replicating from the -replica-of primary. A nil dial
 // falls back to the config's ReplDial (the drills' netfault injection point)
 // and then to plain TCP.
-func (s *server) startReplica(primaryAddr string, dial func(string) (net.Conn, error)) {
+func (s *Server) StartReplica(primaryAddr string, dial func(string) (net.Conn, error)) {
 	rs := s.repl
 	if dial == nil {
 		dial = s.cfg.ReplDial
@@ -158,7 +158,7 @@ func (s *server) startReplica(primaryAddr string, dial func(string) (net.Conn, e
 // fully-quiesced window it checkpoints (so the on-NVM watermark matches what
 // the replica receives) and walks the whole store, recording the log
 // sequence the state corresponds to. Reserved keys stay out.
-func (s *server) replSnapshot() (entries []repl.Entry, seq, gen uint64, err error) {
+func (s *Server) replSnapshot() (entries []repl.Entry, seq, gen uint64, err error) {
 	rs := s.repl
 	err = s.syncWith(func() error {
 		s.mu.RLock()
@@ -197,7 +197,7 @@ func (s *server) replSnapshot() (entries []repl.Entry, seq, gen uint64, err erro
 // the log by then (appends precede barrier parking in each worker's queue),
 // so a successful reply means: rollback-proof here AND on a replica. A
 // missing or stalled replica fails the SYNC loudly within the timeout.
-func (s *server) replicatedSync() error {
+func (s *Server) replicatedSync() error {
 	rs := s.repl
 	if rs == nil || !rs.syncMode || rs.isReplica.Load() {
 		return s.sync()
@@ -219,7 +219,7 @@ func (s *server) replicatedSync() error {
 // the log, and sever every replica so they re-handshake into the snapshot
 // path. Replica role needs nothing: its own applier detects the crash via
 // the epoch and poisons its position if the crash split an apply window.
-func (s *server) onCrashRecovered() {
+func (s *Server) onCrashRecovered() {
 	s.crashEpoch.Add(1)
 	rs := s.repl
 	if rs == nil || rs.isReplica.Load() {
@@ -237,7 +237,7 @@ func (s *server) onCrashRecovered() {
 // writes under a fresh generation. The stream position it had applied seeds
 // the log's numbering, so REPLINFO sequences stay comparable across the
 // failover.
-func (s *server) promote() (string, error) {
+func (s *Server) promote() (string, error) {
 	rs := s.repl
 	if rs == nil {
 		return "", fmt.Errorf("replication not configured")
@@ -280,7 +280,7 @@ func (s *server) promote() (string, error) {
 }
 
 // replInfo renders the REPLINFO reply.
-func (s *server) replInfo() string {
+func (s *Server) replInfo() string {
 	rs := s.repl
 	if rs == nil {
 		return "REPLINFO role=primary repl=off"
@@ -305,7 +305,7 @@ func (s *server) replInfo() string {
 // groups become requests, so they share group commits, per-shard ordering,
 // and the crash discipline with everything else.
 type kvApplier struct {
-	s *server
+	s *Server
 	// curGen is the generation the recorded position belongs to, refreshed
 	// by Position and ApplySnapshot.
 	curGen atomic.Uint64
@@ -527,6 +527,6 @@ var errReadOnlyReplica = errors.New("read-only replica (PROMOTE to accept writes
 
 // writesRefused reports whether client mutations should be refused
 // (replica role).
-func (s *server) writesRefused() bool {
+func (s *Server) writesRefused() bool {
 	return s.repl != nil && s.repl.isReplica.Load()
 }

@@ -3,7 +3,7 @@
 // lag numbers. Gated on REPL_SMOKE=1 (CI runs it and keeps the artifact so
 // regressions in replication throughput or catch-up time are visible across
 // runs); BENCH_REPL_OUT names the output file, default BENCH_repl.json.
-package main
+package server
 
 import (
 	"encoding/json"

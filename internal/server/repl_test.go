@@ -5,7 +5,7 @@
 // is always exactly the replay of a prefix of whole commit groups, so no
 // acknowledged (SYNC-fenced) write is lost and no half-applied group is ever
 // visible after a promotion.
-package main
+package server
 
 import (
 	"fmt"
@@ -22,8 +22,8 @@ import (
 )
 
 // replCfg is the drills' base sizing; roles are layered on per test.
-func replCfg() config {
-	return config{
+func replCfg() Config {
+	return Config{
 		Shards:      8,
 		Slots:       64,
 		HeapWords:   1 << 22,
@@ -37,7 +37,7 @@ func replCfg() config {
 // replNode is one server with its client listener and, for primaries, its
 // replication listener — plus kill support for failover drills.
 type replNode struct {
-	srv      *server
+	srv      *Server
 	l, rl    net.Listener
 	addr     string
 	replAddr string
@@ -46,10 +46,10 @@ type replNode struct {
 // startReplNode mirrors main(): build the server, then start whichever
 // replication endpoints the config names. A cfg.ReplListen of "auto" gets an
 // ephemeral listener.
-func startReplNode(t *testing.T, cfg config) *replNode {
+func startReplNode(t *testing.T, cfg Config) *replNode {
 	t.Helper()
 	wantPrimary := cfg.ReplListen != ""
-	srv, err := newServer(cfg)
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,19 +57,19 @@ func startReplNode(t *testing.T, cfg config) *replNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.serve(l)
+	go srv.Serve(l)
 	n := &replNode{srv: srv, l: l, addr: l.Addr().String()}
 	if wantPrimary {
 		rl, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.startPrimary(rl)
+		srv.StartPrimary(rl)
 		n.rl = rl
 		n.replAddr = rl.Addr().String()
 	}
 	if cfg.ReplicaOf != "" {
-		srv.startReplica(cfg.ReplicaOf, cfg.ReplDial)
+		srv.StartReplica(cfg.ReplicaOf, cfg.ReplDial)
 	}
 	t.Cleanup(n.kill)
 	return n
@@ -247,7 +247,7 @@ func TestReplicationFollowAndRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ml.Close()
-	p.srv.serveMetrics(ml)
+	p.srv.ServeMetrics(ml)
 	resp, err := http.Get("http://" + ml.Addr().String() + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@
 // strictly in that connection's request order. The scheduler deals in
 // wire.Request and wire.Reply values only; which codec carried them is the
 // connection's business (server.go).
-package main
+package server
 
 import (
 	"fmt"
@@ -134,7 +134,7 @@ type task struct {
 
 	// barrier, when non-nil, asks the worker to rendezvous with the other
 	// workers and then quiesce its own thread's log; errSlot receives a
-	// failure. See server.sync for the two-phase protocol and why the
+	// failure. See Server.sync for the two-phase protocol and why the
 	// rendezvous is load-bearing.
 	barrier *syncBarrier
 	errSlot *error
@@ -154,7 +154,7 @@ type syncBarrier struct {
 	done    sync.WaitGroup
 
 	// Checkpoint rendezvous (nil resume = plain SYNC): after quiescing, each
-	// worker parks again until resume closes, giving server.syncWith a window
+	// worker parks again until resume closes, giving Server.syncWith a window
 	// where every log is synced and no transaction can start — the only
 	// moment a checkpoint's verified watermark is sound to write (and free-
 	// block coalescing is safe).
@@ -162,10 +162,10 @@ type syncBarrier struct {
 	resume   chan struct{}
 }
 
-// worker owns one engine thread (indexed by id into server.threads) and one
+// worker owns one engine thread (indexed by id into Server.threads) and one
 // queue; it is the only goroutine that ever uses that thread.
 type worker struct {
-	srv   *server
+	srv   *Server
 	id    int
 	queue chan task
 
@@ -177,14 +177,14 @@ type worker struct {
 
 // enqueue routes one operation of req (already counted in req.remaining) to
 // the worker owning its key's shard.
-func (s *server) enqueue(req *request, op int) {
+func (s *Server) enqueue(req *request, op int) {
 	w := s.workers[s.router.ShardOf(req.ops[op].Key)%len(s.workers)]
 	w.queue <- task{req: req, op: op}
 }
 
 // submit enqueues every operation of req; requests with no scheduler work
 // (outright replies, the waitPrior marker) complete immediately.
-func (s *server) submit(req *request) {
+func (s *Server) submit(req *request) {
 	if req.reply.Kind == 0 && req.typ == wire.TLen {
 		req.remaining.Store(1)
 		s.workers[0].queue <- task{req: req, op: -1}

@@ -1,6 +1,9 @@
-// The craftykv server: the crash-consistent kv subsystem on a Crafty engine
-// with persistence tracking enabled, served over TCP to concurrent client
-// connections, and surviving a power failure.
+// Package server is the craftykv server: the crash-consistent kv subsystem on
+// a Crafty engine with persistence tracking enabled, served over TCP to
+// concurrent client connections, and surviving a power failure. cmd/craftykv
+// is its flag parsing; tests and in-process drivers build one with New and
+// start whichever of Serve, StartPrimary, StartReplica, StartCheckpointer,
+// ServeMetrics and StartMetricsLogger they need.
 //
 // One command model, two codecs (internal/wire): a connection's first byte
 // picks the text codec or the frame codec, its reader decodes each request
@@ -34,7 +37,7 @@
 // refuses client mutations until PROMOTE. Under ReplSync, a SYNC reply
 // further means the replica has durably acknowledged everything the barrier
 // covers.
-package main
+package server
 
 import (
 	"bufio"
@@ -50,8 +53,8 @@ import (
 	"crafty/internal/wire"
 )
 
-// config sizes a server.
-type config struct {
+// Config sizes a server.
+type Config struct {
 	Shards      int
 	Slots       int
 	HeapWords   int
@@ -81,16 +84,16 @@ type config struct {
 }
 
 // replicated reports whether this config enables replication.
-func (c config) replicated() bool { return c.ReplListen != "" || c.ReplicaOf != "" }
+func (c Config) replicated() bool { return c.ReplListen != "" || c.ReplicaOf != "" }
 
-// server owns the heap, the engine, the store, and the scheduler: one worker
+// Server owns the heap, the engine, the store, and the scheduler: one worker
 // goroutine per pool slot, each bound to its own engine thread. CRASH takes
 // the write lock (waiting out every worker's in-flight batch, as a power
 // failure freezes the machine between transactions), rebuilds the engine
 // over the surviving heap, and re-registers the worker threads; queued
 // operations then drain against the recovered store.
-type server struct {
-	cfg    config
+type Server struct {
+	cfg    Config
 	heap   *crafty.Heap
 	layout crafty.Layout
 	root   crafty.Addr
@@ -107,7 +110,7 @@ type server struct {
 	threads   []crafty.Thread
 	crashSeed int64
 
-	// syncMu serializes SYNC barriers; see server.sync.
+	// syncMu serializes SYNC barriers; see Server.sync.
 	syncMu sync.Mutex
 
 	// recovering gates new connections while a CRASH holds the write lock:
@@ -116,7 +119,7 @@ type server struct {
 	recovering atomic.Bool
 
 	// obs is the server's metrics block (metrics.go); never nil once
-	// newServer returns. connSeq hands each connection a counter stripe.
+	// New returns. connSeq hands each connection a counter stripe.
 	obs     *serverMetrics
 	connSeq atomic.Uint64
 
@@ -129,7 +132,10 @@ type server struct {
 	conns      atomic.Int64
 }
 
-func newServer(cfg config) (*server, error) {
+// New builds a server: heap, engine, store, one scheduler worker per pool
+// slot, and (if the config names a replication role) the replication state.
+// Nothing listens until Serve.
+func New(cfg Config) (*Server, error) {
 	if cfg.Pool <= 0 {
 		cfg.Pool = 8
 	}
@@ -155,7 +161,7 @@ func newServer(cfg config) (*server, error) {
 		return nil, fmt.Errorf("craftykv: -pool %d exceeds the engine's thread capacity %d (Config.MaxThreads)",
 			cfg.Pool, eng.MaxThreads())
 	}
-	s := &server{cfg: cfg, heap: heap, layout: eng.Layout(), eng: eng, crashSeed: 1}
+	s := &Server{cfg: cfg, heap: heap, layout: eng.Layout(), eng: eng, crashSeed: 1}
 	s.registerThreads()
 	store, err := crafty.NewKV(eng, s.threads[0], crafty.KVConfig{
 		Shards:               cfg.Shards,
@@ -197,7 +203,7 @@ func newServer(cfg config) (*server, error) {
 // registerThreads (re)registers one engine thread per worker on the current
 // engine. Register reuses the persistent log directory slots across engine
 // incarnations, so repeated crashes do not leak heap space.
-func (s *server) registerThreads() {
+func (s *Server) registerThreads() {
 	s.threads = make([]crafty.Thread, s.cfg.Pool)
 	for i := range s.threads {
 		s.threads[i] = s.eng.Register()
@@ -232,7 +238,7 @@ func syncThread(th crafty.Thread, root crafty.Addr) error {
 // queue as usual and the barrier never waits on them; syncMu keeps two
 // connections' barriers from interleaving their rendezvous (task order can
 // differ per queue, which would deadlock the arrival phase).
-func (s *server) sync() error {
+func (s *Server) sync() error {
 	return s.syncWith(nil)
 }
 
@@ -242,7 +248,7 @@ func (s *server) sync() error {
 // precondition KV.Checkpoint documents. The hook is skipped (and its error
 // slot left nil) if any quiesce failed, since a watermark over an unsynced
 // state would be unsound.
-func (s *server) syncWith(hook func() error) error {
+func (s *Server) syncWith(hook func() error) error {
 	// The barrier runs no transaction of its own, so timing it here is
 	// off-path; the wait covers the serialization behind syncMu too, which is
 	// what a client blocked on SYNC actually experiences.
@@ -294,7 +300,7 @@ func (s *server) syncWith(hook func() error) error {
 // window: verify the shards dirtied since the last checkpoint, coalesce the
 // arena, persist the watermark, advance the epoch. The next CRASH's reopen
 // then verifies only what was dirtied after this point.
-func (s *server) checkpoint() (crafty.KVCheckpointReport, error) {
+func (s *Server) checkpoint() (crafty.KVCheckpointReport, error) {
 	var rep crafty.KVCheckpointReport
 	err := s.syncWith(func() error {
 		s.mu.RLock()
@@ -306,10 +312,10 @@ func (s *server) checkpoint() (crafty.KVCheckpointReport, error) {
 	return rep, err
 }
 
-// startCheckpointer runs checkpoints on a fixed cadence until stop closes.
+// StartCheckpointer runs checkpoints on a fixed cadence until stop closes.
 // Each pass costs one SYNC barrier plus work proportional to the shards
 // dirtied since the previous pass.
-func (s *server) startCheckpointer(interval time.Duration, stop chan struct{}) {
+func (s *Server) StartCheckpointer(interval time.Duration, stop chan struct{}) {
 	go func() {
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
@@ -334,7 +340,7 @@ func (s *server) startCheckpointer(interval time.Duration, stop chan struct{}) {
 // the engine, store, and worker threads. While it runs, s.recovering gates
 // new connections (they get a clear "recovering" error instead of queueing
 // behind the write lock), and each recovery phase's wall time is logged.
-func (s *server) crash() (rolledBack int, entries uint64, rep crafty.KVReopenReport, err error) {
+func (s *Server) crash() (rolledBack int, entries uint64, rep crafty.KVReopenReport, err error) {
 	s.recovering.Store(true)
 	defer s.recovering.Store(false)
 	s.mu.Lock()
@@ -392,7 +398,9 @@ func (s *server) crash() (rolledBack int, entries uint64, rep crafty.KVReopenRep
 	return report.SequencesRolledBack, entries, rep, nil
 }
 
-func (s *server) serve(l net.Listener) error {
+// Serve accepts client connections on l until it fails.
+func (s *Server) Serve(l net.Listener) error {
+	log.Printf("craftykv: engine %q serving on %s", s.eng.Name(), l.Addr())
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -432,7 +440,7 @@ func (s *server) serve(l net.Listener) error {
 // The codec is auto-detected from the first byte: a binary client leads with
 // the handshake's 0xCF magic (wire.go), which can never begin a text command,
 // so everything else speaks lines.
-func (s *server) handle(conn net.Conn) {
+func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	defer s.conns.Add(-1)
 	// Each connection gets its own counter stripe so concurrent connections'
@@ -525,7 +533,7 @@ func (s *server) handle(conn net.Conn) {
 // serveText is the text codec's read loop: one line per request, tokenized
 // zero-copy (ops alias the line until dispatch copies them into a pooled
 // request).
-func (s *server) serveText(conn net.Conn, in *bufio.Reader, c *connReader) {
+func (s *Server) serveText(conn net.Conn, in *bufio.Reader, c *connReader) {
 	var scratch []crafty.KVOp
 	for {
 		// The connection timeout is an idle/stall bound: a client that sends
@@ -568,7 +576,7 @@ func (s *server) serveText(conn net.Conn, in *bufio.Reader, c *connReader) {
 
 // connReader is one connection's decode-and-submit state.
 type connReader struct {
-	srv     *server
+	srv     *Server
 	pending chan *request
 	stripe  int
 }

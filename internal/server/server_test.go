@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"bufio"
@@ -25,7 +25,7 @@ func startServer(t *testing.T) string {
 // properly fenced dies).
 func startServerPersist(t *testing.T, persistProb float64) string {
 	t.Helper()
-	return startServerCfg(t, config{
+	return startServerCfg(t, Config{
 		Shards:      8,
 		Slots:       64,
 		HeapWords:   1 << 22,
@@ -35,9 +35,9 @@ func startServerPersist(t *testing.T, persistProb float64) string {
 	})
 }
 
-func startServerCfg(t *testing.T, cfg config) string {
+func startServerCfg(t *testing.T, cfg Config) string {
 	t.Helper()
-	srv, err := newServer(cfg)
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,15 +46,15 @@ func startServerCfg(t *testing.T, cfg config) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go srv.serve(l)
+	go srv.Serve(l)
 	return l.Addr().String()
 }
 
 // TestPoolValidatedAtStartup checks a pool larger than the engine's thread
-// capacity (Config.MaxThreads, default 64) fails at newServer with a clean
+// capacity (Config.MaxThreads, default 64) fails at New with a clean
 // error instead of panicking at the first over-limit thread registration.
 func TestPoolValidatedAtStartup(t *testing.T) {
-	_, err := newServer(config{
+	_, err := New(Config{
 		Shards:      8,
 		Slots:       64,
 		HeapWords:   1 << 23,
@@ -63,7 +63,7 @@ func TestPoolValidatedAtStartup(t *testing.T) {
 		PersistProb: 0.5,
 	})
 	if err == nil {
-		t.Fatal("newServer accepted -pool 65 over a 64-thread engine")
+		t.Fatal("New accepted -pool 65 over a 64-thread engine")
 	}
 	if !strings.Contains(err.Error(), "-pool 65") || !strings.Contains(err.Error(), "64") {
 		t.Fatalf("unhelpful validation error: %v", err)
@@ -587,7 +587,7 @@ func TestSurvivesRestart(t *testing.T) {
 // writer render result slots still being filled) after only a prefix of the
 // batch had run.
 func TestBatchAckWaitsForAllOps(t *testing.T) {
-	addr := startServerCfg(t, config{
+	addr := startServerCfg(t, Config{
 		Shards:      8,
 		Slots:       64,
 		HeapWords:   1 << 22,
@@ -687,7 +687,7 @@ func TestSyncBarrierWorstCaseCrash(t *testing.T) {
 // never comes. The test is a canary: a regression hangs it (go test's
 // timeout fails the run) rather than failing an assertion.
 func TestSyncConcurrentWithCrash(t *testing.T) {
-	addr := startServerCfg(t, config{
+	addr := startServerCfg(t, Config{
 		Shards:      8,
 		Slots:       64,
 		HeapWords:   1 << 22,

@@ -7,7 +7,7 @@
 // A connection picks its codec with its first byte: the handshake magic 0xCF
 // can never begin a text command (server.go auto-detects with one Peek), so
 // the line protocol survives untouched as the debug mode.
-package main
+package server
 
 import (
 	"bufio"
@@ -34,7 +34,7 @@ var tooLarge = wire.Reply{Kind: wire.TErr, Msg: fmt.Sprintf("frame too large %d"
 // the negotiated version: min(ours, theirs). It runs before the connection's
 // writer goroutine exists, so writing here keeps every byte on one goroutine
 // at a time.
-func (s *server) handshake(conn net.Conn, in *bufio.Reader, enc *wire.Encoder, stripe int) error {
+func (s *Server) handshake(conn net.Conn, in *bufio.Reader, enc *wire.Encoder, stripe int) error {
 	var hs [wire.HandshakeLen]byte
 	if _, err := io.ReadFull(in, hs[:]); err != nil {
 		return err
@@ -63,7 +63,7 @@ func (s *server) handshake(conn net.Conn, in *bufio.Reader, enc *wire.Encoder, s
 // serveBinary is the frame codec's read loop: one frame per request, decoded
 // into a scratch op slice aliasing the frame buffer and dispatched exactly
 // like its text twin.
-func (s *server) serveBinary(conn net.Conn, in *bufio.Reader, c *connReader) {
+func (s *Server) serveBinary(conn net.Conn, in *bufio.Reader, c *connReader) {
 	r := wire.NewReader(in, maxFrame)
 	var scratch []crafty.KVOp
 	for {

@@ -4,7 +4,7 @@
 // and the binary/text speedup. Gated on WIRE_SMOKE=1 (CI runs it and keeps
 // the artifact so framing-layer regressions are visible across runs);
 // BENCH_WIRE_OUT names the output file, default BENCH_wire.json.
-package main
+package server
 
 import (
 	"bufio"
