@@ -467,13 +467,15 @@ func (s *Server) handle(conn net.Conn) {
 	// The codec is fixed before the writer goroutine starts (and before any
 	// request can be pushed), so the writer reads it race-free.
 	binary := first[0] == wire.Magic0
-	var w replyWriter = wire.NewLineEncoder(out)
+	var w replyWriter
 	if binary {
 		enc := wire.NewEncoder(out)
 		if s.handshake(conn, in, enc, stripe) != nil {
 			return
 		}
 		w = enc
+	} else {
+		w = wire.NewLineEncoder(out)
 	}
 
 	pending := make(chan *request, 128)

@@ -161,13 +161,11 @@ func textToken(b []byte) bool {
 // and surface at the caller's Flush.
 type LineEncoder struct {
 	w       *bufio.Writer
-	scratch []byte
+	scratch [20]byte // the decimal digits of one uint64
 }
 
 // NewLineEncoder wraps w.
-func NewLineEncoder(w *bufio.Writer) *LineEncoder {
-	return &LineEncoder{w: w, scratch: make([]byte, 0, 20)}
-}
+func NewLineEncoder(w *bufio.Writer) *LineEncoder { return &LineEncoder{w: w} }
 
 // Flush flushes the underlying writer.
 func (e *LineEncoder) Flush() error { return e.w.Flush() }
@@ -228,8 +226,7 @@ func (e *LineEncoder) WriteReply(cmd Type, r Reply) error {
 		}
 		e.w.WriteString(verb)
 		e.w.WriteByte(' ')
-		e.scratch = strconv.AppendUint(e.scratch[:0], r.N, 10)
-		e.w.Write(e.scratch)
+		e.w.Write(strconv.AppendUint(e.scratch[:0], r.N, 10))
 	case TErr:
 		e.w.WriteString("ERR")
 		if r.Msg != "" {
