@@ -603,6 +603,19 @@ func (c *connReader) reply(typ wire.Type, r wire.Reply) {
 	c.push(req)
 }
 
+// answer replies to command typ with a result computed in place: ERR on
+// failure, the text when there is one, a bare OK otherwise.
+func (c *connReader) answer(typ wire.Type, text string, err error) {
+	switch {
+	case err != nil:
+		c.reply(typ, wire.Reply{Kind: wire.TErr, Msg: err.Error()})
+	case text != "":
+		c.reply(typ, wire.Reply{Kind: wire.TText, Msg: text})
+	default:
+		c.reply(typ, wire.Reply{Kind: wire.TOK})
+	}
+}
+
 // waitPrior blocks until every previously submitted request of this
 // connection has completed and rendered, by riding a no-output marker
 // through the reply queue: the writer processes requests in order, so
@@ -626,29 +639,17 @@ func (c *connReader) waitPrior() {
 // into the pooled request, they are never retained.
 func (c *connReader) dispatch(req wire.Request, perr error) bool {
 	s := c.srv
-	// answer replies with a control command's result: ERR on failure, the
-	// text when there is one, a bare OK otherwise.
-	answer := func(text string, err error) {
-		switch {
-		case err != nil:
-			c.reply(req.Type, wire.Reply{Kind: wire.TErr, Msg: err.Error()})
-		case text != "":
-			c.reply(req.Type, wire.Reply{Kind: wire.TText, Msg: text})
-		default:
-			c.reply(req.Type, wire.Reply{Kind: wire.TOK})
-		}
-	}
 	cmd, known := wire.Lookup(req.Type)
 	switch {
 	case known && cmd.Mutates && s.writesRefused():
 		// Replica role: client mutations are refused until PROMOTE (the
 		// replication applier submits its work directly, not through here).
 		// The request was read whole, so refusing costs nothing in framing.
-		answer("", errReadOnlyReplica)
+		c.answer(req.Type, "", errReadOnlyReplica)
 		return true
 	case perr != nil:
 		// Undecodable but well-delimited: answer and keep the connection.
-		answer("", perr)
+		c.answer(req.Type, "", perr)
 		return true
 	case cmd.Args != wire.ArgsNone:
 		r := newRequest(req.Type)
@@ -666,35 +667,36 @@ func (c *connReader) dispatch(req wire.Request, perr error) bool {
 		// The full metrics snapshot. waitPrior orders it after this
 		// connection's earlier operations, so counters reflect them.
 		c.waitPrior()
-		answer(s.infoText(), nil)
+		c.answer(req.Type, s.infoText(), nil)
 	case wire.TSync:
 		// The barrier covers everything already queued — including this
 		// connection's earlier operations — so no waitPrior is needed. In
 		// sync-replication mode it additionally waits for the replica's
 		// durable acknowledgement (repl.go).
-		answer("", s.replicatedSync())
+		c.answer(req.Type, "", s.replicatedSync())
 	case wire.TCheckpoint:
 		// Like SYNC, the barrier covers everything already queued.
 		rep, err := s.checkpoint()
-		answer(fmt.Sprintf("OK seq=%d epoch=%d dirty_shards=%d entries=%d coalesced=%d",
+		c.answer(req.Type, fmt.Sprintf("OK seq=%d epoch=%d dirty_shards=%d entries=%d coalesced=%d",
 			rep.Seq, rep.Epoch, rep.DirtyShards, rep.Entries, rep.Coalesced), err)
 	case wire.TCrash:
 		c.waitPrior()
 		rolledBack, entries, rep, err := s.crash()
-		answer(fmt.Sprintf("OK rolled_back=%d entries=%d verified_shards=%d shards=%d full_verify=%t",
+		c.answer(req.Type, fmt.Sprintf("OK rolled_back=%d entries=%d verified_shards=%d shards=%d full_verify=%t",
 			rolledBack, entries, rep.VerifiedShards, rep.Shards, rep.FullVerify), err)
 	case wire.TPromote:
 		// Failover: stop following the primary, checkpoint at a quiesced
 		// point, start accepting writes under a fresh generation. waitPrior
 		// orders it after this connection's earlier (read) traffic.
 		c.waitPrior()
-		answer(s.promote())
+		text, err := s.promote()
+		c.answer(req.Type, text, err)
 	case wire.TReplInfo:
 		c.waitPrior()
-		answer(s.replInfo(), nil)
+		c.answer(req.Type, s.replInfo(), nil)
 	case wire.TQuit:
 		c.waitPrior()
-		answer("BYE", nil)
+		c.answer(req.Type, "BYE", nil)
 		return false
 	}
 	return true
