@@ -337,9 +337,7 @@ func (c *Client) do(req wire.Request) (replies []wire.Reply, err error) {
 // the kinds the command's table row allows; an ERR reply becomes an error.
 func (c *Client) one(t wire.Type, key, val string, kinds ...wire.Type) (wire.Reply, error) {
 	req := wire.Request{Type: t}
-	what := t.String()
 	if cmd, ok := wire.Lookup(t); ok && cmd.Args != wire.ArgsNone {
-		what += " " + key
 		c.kbuf = append(append(c.kbuf[:0], key...), val...)
 		c.op[0] = kv.Op{Kind: cmd.Op, Key: c.kbuf[:len(key):len(key)]}
 		if cmd.Args == wire.ArgsKeyValue {
@@ -356,6 +354,10 @@ func (c *Client) one(t wire.Type, key, val string, kinds ...wire.Type) (wire.Rep
 		if r.Kind == k {
 			return r, nil
 		}
+	}
+	what := t.String()
+	if len(req.Ops) > 0 {
+		what += " " + key
 	}
 	if r.Kind == wire.TErr {
 		return r, fmt.Errorf("kvclient: %s: ERR %s", what, r.Msg)
