@@ -536,7 +536,7 @@ func (s *Server) handle(conn net.Conn) {
 // zero-copy (ops alias the line until dispatch copies them into a pooled
 // request).
 func (s *Server) serveText(conn net.Conn, in *bufio.Reader, c *connReader) {
-	var scratch []crafty.KVOp
+	scratch := c.one[:0]
 	for {
 		// The connection timeout is an idle/stall bound: a client that sends
 		// nothing for a whole interval is disconnected rather than holding
@@ -581,6 +581,9 @@ type connReader struct {
 	srv     *Server
 	pending chan *request
 	stripe  int
+	// one backs the decode scratch while requests carry a single operand, so
+	// a connection that sends nothing wider allocates no scratch at all.
+	one [1]crafty.KVOp
 }
 
 // push submits a request to the scheduler and appends it to the

@@ -17,7 +17,6 @@ import (
 	"net"
 	"time"
 
-	"crafty"
 	"crafty/internal/wire"
 )
 
@@ -65,7 +64,7 @@ func (s *Server) handshake(conn net.Conn, in *bufio.Reader, enc *wire.Encoder, s
 // like its text twin.
 func (s *Server) serveBinary(conn net.Conn, in *bufio.Reader, c *connReader) {
 	r := wire.NewReader(in, maxFrame)
-	var scratch []crafty.KVOp
+	scratch := c.one[:0]
 	for {
 		if d := s.cfg.ConnTimeout; d > 0 {
 			conn.SetReadDeadline(time.Now().Add(d))

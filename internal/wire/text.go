@@ -158,23 +158,21 @@ func textToken(b []byte) bool {
 
 // LineEncoder writes requests and replies as text lines — the line-writing
 // twin of Encoder. Not safe for concurrent use; I/O errors are bufio-sticky
-// and surface at the caller's Flush.
-type LineEncoder struct {
-	w       *bufio.Writer
-	scratch [20]byte // the decimal digits of one uint64
-}
+// and surface at the caller's Flush. It is one pointer wide, so building one
+// and holding it in an interface allocates nothing.
+type LineEncoder struct{ w *bufio.Writer }
 
 // NewLineEncoder wraps w.
-func NewLineEncoder(w *bufio.Writer) *LineEncoder { return &LineEncoder{w: w} }
+func NewLineEncoder(w *bufio.Writer) LineEncoder { return LineEncoder{w: w} }
 
 // Flush flushes the underlying writer.
-func (e *LineEncoder) Flush() error { return e.w.Flush() }
+func (e LineEncoder) Flush() error { return e.w.Flush() }
 
 // Request writes req as one line. A request the text codec cannot carry — a
 // wrong operand count, or a key or value that is empty or holds a blank or a
 // newline — is refused with a typed error before any byte is written, never
 // mis-framed.
-func (e *LineEncoder) Request(req Request) error {
+func (e LineEncoder) Request(req Request) error {
 	cmd, ok := Lookup(req.Type)
 	if !ok {
 		return unknownType(req.Type)
@@ -207,7 +205,7 @@ func (e *LineEncoder) Request(req Request) error {
 // place a VAL line is written: a value holding a newline would be read as two
 // replies, shifting every later reply of the connection by one, so it is
 // answered with a typed ERR line instead.
-func (e *LineEncoder) WriteReply(cmd Type, r Reply) error {
+func (e LineEncoder) WriteReply(cmd Type, r Reply) error {
 	switch r.Kind {
 	case TOK:
 		e.w.WriteString("OK")
@@ -226,7 +224,7 @@ func (e *LineEncoder) WriteReply(cmd Type, r Reply) error {
 		}
 		e.w.WriteString(verb)
 		e.w.WriteByte(' ')
-		e.w.Write(strconv.AppendUint(e.scratch[:0], r.N, 10))
+		e.w.Write(strconv.AppendUint(e.w.AvailableBuffer(), r.N, 10))
 	case TErr:
 		e.w.WriteString("ERR")
 		if r.Msg != "" {
