@@ -78,3 +78,26 @@ func BenchmarkHTMReadOnly(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkHTMReadLine measures a committed read-only transaction over the
+// eight words of two cache lines each — the run of same-line loads a key or
+// value read is made of, of which Load admits only the first per line.
+func BenchmarkHTMReadLine(b *testing.B) {
+	e := benchEngine(b, 1<<16)
+	th := e.NewThread(1)
+	base := e.Heap().MustCarve(2 * nvm.WordsPerLine)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		cause := th.Run(func(tx *Tx) {
+			for w := 0; w < 2*nvm.WordsPerLine; w++ {
+				sink += tx.Load(base + nvm.Addr(w))
+			}
+		})
+		if cause != CauseNone {
+			b.Fatalf("read-only transaction aborted: %v", cause)
+		}
+	}
+	_ = sink
+}

@@ -27,6 +27,13 @@ type Tx struct {
 	// validation and the capacity bound).
 	readLines lineSet
 
+	// lastLine is the line Load most recently admitted in this attempt and
+	// lastLock the lock word it was admitted under: unlocked, version no
+	// newer than readVersion. A run of loads from one line (a key, a value
+	// spanning a few lines) pays the admission once; see Load.
+	lastLine uint64
+	lastLock uint64
+
 	// writes buffers the transaction's stores in program order; writeLines
 	// tracks the distinct cache lines written for locking and the capacity
 	// bound.
@@ -65,6 +72,7 @@ func (tx *Tx) reset(t *Thread) {
 	tx.eng = t.eng
 	tx.readVersion = t.eng.globalVersion.Load()
 	tx.readLines.reset()
+	tx.lastLine = noLine
 	tx.writeLines.reset()
 	tx.writes.reset()
 	tx.deferred = tx.deferred[:0]
@@ -81,16 +89,42 @@ func (tx *Tx) Abort() {
 	tx.abort(CauseExplicit)
 }
 
+// noLine is lastLine's value before an attempt's first admission; no heap has
+// that many lines.
+const noLine = ^uint64(0)
+
 // Load returns the value of the word at addr as of the transaction's
 // consistent snapshot, or the value this transaction itself wrote to it.
 // If the snapshot can no longer be guaranteed consistent (another thread
 // committed a conflicting write), the attempt aborts.
+//
+// A line is admitted once per run of loads from it, the way RTM tracks its
+// read set per line: the first load checks the lock word (unlocked, version
+// within the snapshot) and enters the line in the read set; the loads that
+// follow from the same line only compare the lock word against the one the
+// line was admitted under. That is the full check's verdict, not a weaker one:
+// an admitted word can only change to a locked one or to a version drawn
+// after the locker took the lock — hence after this snapshot — so "differs
+// from the admitted word" and "locked or newer than the snapshot" name the
+// same states (an aborted committer restores the word exactly, having
+// published nothing).
 func (tx *Tx) Load(addr nvm.Addr) uint64 {
-	if val, ok := tx.writes.get(addr); ok {
-		return val
+	// A read-only attempt has buffered nothing; asking first spares it the
+	// write-set probe, which is a call per load.
+	if tx.writes.size() != 0 {
+		if val, ok := tx.writes.get(addr); ok {
+			return val
+		}
 	}
 	line := nvm.LineOf(addr)
 	lk := tx.eng.lineLock(line)
+	if line == tx.lastLine {
+		val := tx.eng.heap.Load(addr)
+		if lk.Load() != tx.lastLock {
+			tx.abort(CauseConflict)
+		}
+		return val
+	}
 
 	before := lk.Load()
 	if isLocked(before) || versionOf(before) > tx.readVersion {
@@ -103,6 +137,7 @@ func (tx *Tx) Load(addr nvm.Addr) uint64 {
 	if tx.readLines.add(line) && tx.readLines.size() > tx.eng.cfg.MaxReadLines {
 		tx.abort(CauseCapacity)
 	}
+	tx.lastLine, tx.lastLock = line, before
 	return val
 }
 

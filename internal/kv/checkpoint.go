@@ -249,7 +249,7 @@ func ReopenWith(eng ptm.Engine, root nvm.Addr, opts ReopenOptions) (*Store, Reop
 	if got := heap.Load(root + offVersion); got != version {
 		return nil, rep, fmt.Errorf("kv: store version %d, want %d", got, version)
 	}
-	s := &Store{root: root, shards: int(heap.Load(root + offShards)), txBudget: ptm.TxWriteBudgetOf(eng, defaultTxBudget), ms: new(Metrics)}
+	s := newStore(eng, root, int(heap.Load(root+offShards)))
 	if s.shards < 1 || s.shards&(s.shards-1) != 0 {
 		return nil, rep, fmt.Errorf("kv: corrupt shard count %d", s.shards)
 	}

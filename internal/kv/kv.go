@@ -26,6 +26,7 @@ package kv
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -142,6 +143,9 @@ func (c Config) withDefaults() (Config, error) {
 type Store struct {
 	root   nvm.Addr
 	shards int
+	// shardBits is log2(shards): the hash bits shardOf consumes, which
+	// slotStart skips.
+	shardBits uint
 
 	// txBudget is the engine's per-transaction write budget
 	// (ptm.WriteBudgeter), captured at Create/Reopen; Apply splits its shard
@@ -194,7 +198,7 @@ func Create(eng ptm.Engine, th ptm.Thread, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kv: carving root region: %w", err)
 	}
-	s := &Store{root: root, shards: cfg.Shards, txBudget: ptm.TxWriteBudgetOf(eng, defaultTxBudget), ms: new(Metrics)}
+	s := newStore(eng, root, cfg.Shards)
 	s.epoch.Store(1)
 	for sh := 0; sh < cfg.Shards; sh++ {
 		hdr := s.shardHeader(sh)
@@ -223,6 +227,19 @@ func Create(eng ptm.Engine, th ptm.Thread, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// newStore caches the store's immutable facts. shards is a power of two
+// (Config.withDefaults enforces it at Create, ReopenWith checks it before any
+// probe).
+func newStore(eng ptm.Engine, root nvm.Addr, shards int) *Store {
+	return &Store{
+		root:      root,
+		shards:    shards,
+		shardBits: uint(bits.TrailingZeros(uint(shards))),
+		txBudget:  ptm.TxWriteBudgetOf(eng, defaultTxBudget),
+		ms:        new(Metrics),
+	}
 }
 
 // Reopen re-materializes a store from its root address after the engine-level
@@ -301,11 +318,7 @@ func (s *Store) shardOf(h uint64) int { return int(h & uint64(s.shards-1)) }
 // slotStart returns the probe start index for hash h in a table of the given
 // size. It uses bits above the shard index and below bit 63.
 func (s *Store) slotStart(h uint64, slots uint64) uint64 {
-	shardBits := 0
-	for 1<<shardBits < s.shards {
-		shardBits++
-	}
-	return (h >> uint(shardBits)) & (slots - 1)
+	return (h >> s.shardBits) & (slots - 1)
 }
 
 // Entry block layout helpers. The header word packs the key length in its

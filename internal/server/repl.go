@@ -331,8 +331,10 @@ func (a *kvApplier) runOps(build, read func(req *request)) error {
 		requestPool.Put(req)
 		return nil
 	}
-	a.s.submit(req)
-	<-req.done
+	var done completion
+	done.init()
+	a.s.submit(req, &done)
+	done.wait()
 	var err error
 	for i := range req.res {
 		if e := req.res[i].err; e != nil {

@@ -6,11 +6,11 @@
 // Store.Apply call: a drained batch of K mutations from any number of
 // connections commits in the worker's shard groups, paying the engine's
 // per-transaction toll (Log-phase HTM commit, LOGGED/COMMITTED marker pair,
-// batched flush) once per group instead of once per op. Completions are
-// routed back to each connection's pipelined writer, which renders replies
-// strictly in that connection's request order. The scheduler deals in
-// wire.Request and wire.Reply values only; which codec carried them is the
-// connection's business (server.go).
+// batched flush) once per group instead of once per op. Completions count
+// down the submitting connection's completion counter; the connection renders
+// replies strictly in its request order once the count reaches zero. The
+// scheduler deals in wire.Request and wire.Reply values only; which codec
+// carried them is the connection's business (server.go).
 package server
 
 import (
@@ -45,35 +45,67 @@ func (r *opResult) reply(hit wire.Reply) wire.Reply {
 }
 
 // request is one command in flight: its operations, their results, and the
-// completion signal the connection's writer waits on. Requests are pooled;
-// all slices are reused across requests.
+// counter its submitter waits on. Requests are pooled; all slices are reused
+// across requests.
 type request struct {
-	// typ is the command (a row of wire.Commands); zero is the no-output
-	// marker of connReader.waitPrior.
+	// typ is the command (a row of wire.Commands); zero only under an
+	// outright refusal of a request whose command was illegible.
 	typ wire.Type
 	// reply, when its Kind is set, answers the command outright — a refusal,
 	// a codec error, a control command's result — and the request does no
-	// scheduler work: it rides the connection's pending queue only so the
-	// reply stays ordered with the operations in flight.
+	// scheduler work: it sits among the connection's owed requests only so
+	// the reply stays ordered with the operations in flight.
 	reply wire.Reply
 
 	ops []crafty.KVOp
 	res []opResult
 	buf []byte // backing storage for the ops' copied keys and values
 
-	n         uint64 // LEN result
-	err       error  // request-level failure (LEN)
-	remaining atomic.Int32
-	done      chan struct{}
+	n   uint64 // LEN result
+	err error  // request-level failure (LEN)
+
+	// owner is the submitter's completion counter (Server.submit): workers
+	// count each finished operation down on it and never touch the request
+	// again, so the submitter may recycle it the moment the count is zero.
+	owner *completion
 
 	// t0 is the decode-time stamp for the enqueue→reply latency histogram,
 	// taken and read strictly outside any transaction.
 	t0 time.Time
+}
 
-	// notify, when non-nil, is closed by the connection writer once this
-	// request has been processed in order — the reader's progress barrier
-	// (connReader.waitPrior).
-	notify chan struct{}
+// completion counts one submitter's operations in flight — a connection's
+// (conn.done) or the replication applier's (kvApplier.runOps) — so that
+// waiting for any number of requests is one wait, and serving a request
+// allocates no channel. Only the submitter adds and waits; workers finish.
+type completion struct {
+	pending atomic.Int64
+	// wake carries at most one token: whichever worker brings pending to zero
+	// leaves it, without blocking. The count may touch zero many times while
+	// the submitter is still submitting, so a token can be stale; wait
+	// rechecks the count after every receive.
+	wake chan struct{}
+}
+
+func (c *completion) init() { c.wake = make(chan struct{}, 1) }
+
+// finish counts one operation done.
+func (c *completion) finish() {
+	if c.pending.Add(-1) == 0 {
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// wait blocks until every operation added so far has finished. A finisher
+// that finds the token slot full dropped its token only because one was
+// already there, so the receive below never misses the last one.
+func (c *completion) wait() {
+	for c.pending.Load() != 0 {
+		<-c.wake
+	}
 }
 
 var requestPool = sync.Pool{New: func() any { return &request{} }}
@@ -88,9 +120,7 @@ func newRequest(typ wire.Type) *request {
 	r.buf = r.buf[:0]
 	r.n = 0
 	r.err = nil
-	r.remaining.Store(0)
-	r.done = make(chan struct{})
-	r.notify = nil
+	r.owner = nil
 	r.t0 = time.Now()
 	return r
 }
@@ -175,35 +205,21 @@ type worker struct {
 	tapOps []repl.Op
 }
 
-// enqueue routes one operation of req (already counted in req.remaining) to
-// the worker owning its key's shard.
-func (s *Server) enqueue(req *request, op int) {
-	w := s.workers[s.router.ShardOf(req.ops[op].Key)%len(s.workers)]
-	w.queue <- task{req: req, op: op}
-}
-
-// submit enqueues every operation of req; requests with no scheduler work
-// (outright replies, the waitPrior marker) complete immediately.
-func (s *Server) submit(req *request) {
-	if req.reply.Kind == 0 && req.typ == wire.TLen {
-		req.remaining.Store(1)
+// submit enqueues every operation of req, to be counted down on owner; the
+// caller waits on owner before it reads or recycles the request.
+func (s *Server) submit(req *request, owner *completion) {
+	req.owner = owner
+	if req.typ == wire.TLen {
+		owner.pending.Add(1)
 		s.workers[0].queue <- task{req: req, op: -1}
 		return
 	}
-	if len(req.ops) == 0 {
-		close(req.done)
-		return
-	}
-	// Count every operation before enqueueing any. Workers start completing
-	// already-queued operations while later ones are still being routed, so
-	// an incremental count can hit zero early — acknowledging the request,
-	// rendering results whose slots are still being written, and (worse)
-	// letting a SYNC issued after the premature ack barrier the workers
-	// before the request's last group commit, so a crash rolled back an
-	// acknowledged, synced write.
-	req.remaining.Store(int32(len(req.ops)))
+	// Count every operation before enqueueing any: one add per request, and
+	// the count cannot touch zero while this request is half routed.
+	owner.pending.Add(int64(len(req.ops)))
 	for i := range req.ops {
-		s.enqueue(req, i)
+		w := s.workers[s.router.ShardOf(req.ops[i].Key)%len(s.workers)]
+		w.queue <- task{req: req, op: i}
 	}
 }
 
@@ -303,7 +319,7 @@ func (w *worker) run() {
 			case t.op < 0:
 				// LEN: a read-only sweep over the shard headers.
 				t.req.n, t.req.err = store.Len(th)
-				t.req.complete()
+				t.req.owner.finish()
 			default:
 				r := &t.req.res[t.op]
 				out := res[j]
@@ -319,7 +335,7 @@ func (w *worker) run() {
 				} else {
 					r.val = r.val[:0] // keep the backing array for reuse
 				}
-				t.req.complete()
+				t.req.owner.finish()
 			}
 		}
 		w.srv.mu.RUnlock()
@@ -358,17 +374,9 @@ func (w *worker) tap(items []task, res []crafty.KVOpResult) {
 	}
 }
 
-// complete marks one operation done, closing the request's done channel when
-// it was the last.
-func (r *request) complete() {
-	if r.remaining.Add(-1) == 0 {
-		close(r.done)
-	}
-}
-
 // replyWriter is the reply half of a codec — wire.Encoder writes frames,
 // wire.LineEncoder lines — so rendering is written once, over Reply values.
-// Write errors are bufio-sticky; the connection writer's Flush sees them.
+// Write errors are bufio-sticky; the connection's flush sees them.
 type replyWriter interface {
 	WriteReply(cmd wire.Type, r wire.Reply) error
 }
@@ -380,10 +388,7 @@ func render(w replyWriter, req *request) {
 		w.WriteReply(req.typ, req.reply)
 		return
 	}
-	cmd, ok := wire.Lookup(req.typ)
-	if !ok {
-		return // no-output marker (connReader.waitPrior)
-	}
+	cmd, _ := wire.Lookup(req.typ)
 	switch cmd.Reply {
 	case wire.ReplyVals:
 		for i := range req.res {

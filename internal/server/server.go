@@ -6,7 +6,7 @@
 // ServeMetrics and StartMetricsLogger they need.
 //
 // One command model, two codecs (internal/wire): a connection's first byte
-// picks the text codec or the frame codec, its reader decodes each request
+// picks the text codec or the frame codec, its read loop decodes each request
 // into a wire.Request, and from there on nothing depends on the codec —
 // dispatch (below) runs the request, the sharded scheduler (scheduler.go)
 // executes its operations, and render writes wire.Reply values through the
@@ -14,14 +14,14 @@
 // commands exist, how each is spelled, whether it mutates, what its replies
 // look like — is documented in DESIGN.md §14.
 //
-// Requests flow through the scheduler: each connection's reader routes a
-// request's operations onto per-worker queues by key shard; each worker
-// drains its queue and commits the drained mutations — from however many
-// connections — in one kv group commit (Store.Apply), so concurrent write
+// Requests flow through the scheduler: each connection — one goroutine —
+// routes a request's operations onto per-worker queues by key shard; each
+// worker drains its queue and commits the drained mutations — from however
+// many connections — in one kv group commit (Store.Apply), so concurrent write
 // traffic pays the engine's per-transaction costs once per shard group
-// instead of once per operation. Replies are routed back to each
-// connection's writer goroutine, which renders them strictly in request
-// order and flushes once per pipelined burst.
+// instead of once per operation. Once no further whole request is buffered
+// the connection waits for the operations it submitted, renders the replies
+// strictly in request order and flushes once per pipelined burst (conn).
 //
 // Because the NVM is emulated in process memory, a "restart" is modelled the
 // way the crash-consistency tests model it: the CRASH command injects a power
@@ -432,16 +432,43 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// handle runs one connection: the reader decodes and submits requests, the
-// writer goroutine renders each request's replies as it completes — in
-// request order, flushing once no further completed reply is pending, so a
-// pipelined burst costs one write syscall for the whole batch.
+// maxOwed bounds how many requests a connection submits before it answers
+// them: the replies a pipelining client can make the server hold, and how far
+// it can run ahead of its own reads.
+const maxOwed = 128
+
+// conn is one client connection, served by one goroutine from accept to
+// close: it decodes and submits requests while a whole further request is
+// already buffered, then waits once for everything it owes, renders the
+// replies in request order, flushes, and only then blocks on the socket. A
+// pipelined burst so costs one wait and one write syscall, and a request
+// crosses no goroutine but the workers that execute its operations.
+type conn struct {
+	srv    *Server
+	nc     net.Conn
+	out    *bufio.Writer
+	w      replyWriter
+	stripe int
+
+	// owed is the requests submitted and not yet answered, in request order;
+	// done counts their operations still in flight on the workers.
+	owed []*request
+	done completion
+	// rendered counts the replies written since the last flush.
+	rendered int64
+
+	// one backs the decode scratch while requests carry a single operand, so
+	// a connection that sends nothing wider allocates no scratch at all.
+	one [1]crafty.KVOp
+}
+
+// handle is one connection's goroutine from accept to close; see conn.
 //
 // The codec is auto-detected from the first byte: a binary client leads with
 // the handshake's 0xCF magic (wire.go), which can never begin a text command,
 // so everything else speaks lines.
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
+func (s *Server) handle(nc net.Conn) {
+	defer nc.Close()
 	defer s.conns.Add(-1)
 	// Each connection gets its own counter stripe so concurrent connections'
 	// traffic counters never contend on a cache line.
@@ -453,96 +480,108 @@ func (s *Server) handle(conn net.Conn) {
 	// ErrBufferFull once a newline-free line exceeds it, so a misbehaving
 	// client cannot grow one line without limit (binary frames are bounded
 	// by the wire reader's limit instead; same maxFrame).
-	in := bufio.NewReaderSize(conn, maxFrame)
+	in := bufio.NewReaderSize(nc, maxFrame)
 	// The byte counter sits under the bufio.Writer: one add per flush.
-	out := bufio.NewWriter(&countWriter{w: conn, c: s.obs.bytesOut, stripe: stripe})
+	out := bufio.NewWriter(&countWriter{w: nc, c: s.obs.bytesOut, stripe: stripe})
 
 	if d := s.cfg.ConnTimeout; d > 0 {
-		conn.SetReadDeadline(time.Now().Add(d))
+		nc.SetReadDeadline(time.Now().Add(d))
 	}
 	first, err := in.Peek(1)
 	if err != nil {
 		return
 	}
-	// The codec is fixed before the writer goroutine starts (and before any
-	// request can be pushed), so the writer reads it race-free.
-	binary := first[0] == wire.Magic0
-	var w replyWriter
-	if binary {
+	c := &conn{srv: s, nc: nc, out: out, stripe: stripe}
+	c.done.init()
+	if first[0] == wire.Magic0 {
 		enc := wire.NewEncoder(out)
-		if s.handshake(conn, in, enc, stripe) != nil {
+		if s.handshake(nc, in, enc, stripe) != nil {
 			return
 		}
-		w = enc
+		c.w = enc
+		c.serveBinary(in)
 	} else {
-		w = wire.NewLineEncoder(out)
+		c.w = wire.NewLineEncoder(out)
+		c.serveText(in)
 	}
+	// Whatever ended the loop — QUIT, EOF, a dead socket — every operation
+	// still in flight completes before its request is recycled, and a client
+	// that only closed its sending half still gets its replies.
+	c.flush()
+}
 
-	pending := make(chan *request, 128)
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		var burst int64
-		for req := range pending {
-			<-req.done
-			render(w, req)
-			// Enqueue→reply latency for scheduler-routed requests, stamped
-			// strictly outside any transaction (t0 at decode time, here after
-			// the replies rendered). Outright replies never hit the scheduler.
-			if req.reply.Kind == 0 && req.typ != 0 {
-				s.obs.opLatency.ObserveSince(req.t0)
-			}
-			if req.notify != nil {
-				close(req.notify)
-			}
-			burst++
-			if len(pending) == 0 {
-				s.obs.bursts.Observe(burst)
-				burst = 0
-				// A stalled client must not pin this goroutine mid-flush.
-				if d := s.cfg.ConnTimeout; d > 0 {
-					conn.SetWriteDeadline(time.Now().Add(d))
-				}
-				if out.Flush() != nil {
-					// The connection is gone; keep draining so the reader
-					// never blocks on a full pending queue.
-					for req := range pending {
-						<-req.done
-						if req.notify != nil {
-							close(req.notify)
-						}
-						requestPool.Put(req)
-					}
-					return
-				}
-			}
-			requestPool.Put(req)
+// mayRead is the top of both read loops: it reports whether the loop may go
+// on to read the next request. While fewer than maxOwed replies are owed and
+// buffered says a whole further request has already arrived, reading cannot
+// block, so the burst keeps growing; otherwise the connection first answers
+// what it owes, and false means the client is gone.
+func (c *conn) mayRead(buffered bool) bool {
+	if buffered && len(c.owed) < maxOwed {
+		return true
+	}
+	return c.flush()
+}
+
+// settle waits until every owed request has executed, renders the replies in
+// request order and recycles the requests. It does not flush: commands whose
+// effect or reply must observe the connection's earlier operations across all
+// shards (LEN, INFO, CRASH, QUIT, ...) settle and go on, and their own reply
+// leaves in the same write. Same-key ordering needs no such barrier, since a
+// key's operations share one worker queue.
+func (c *conn) settle() {
+	c.done.wait()
+	for i, req := range c.owed {
+		render(c.w, req)
+		// Enqueue→reply latency for scheduler-routed requests, stamped
+		// strictly outside any transaction (t0 at decode time, here after the
+		// replies rendered). Outright replies never hit the scheduler.
+		if req.reply.Kind == 0 {
+			c.srv.obs.opLatency.ObserveSince(req.t0)
 		}
-		out.Flush()
-	}()
-
-	c := &connReader{srv: s, pending: pending, stripe: stripe}
-	if binary {
-		s.serveBinary(conn, in, c)
-	} else {
-		s.serveText(conn, in, c)
+		requestPool.Put(req)
+		c.owed[i] = nil
 	}
-	close(pending)
-	writerWG.Wait()
+	c.rendered += int64(len(c.owed))
+	c.owed = c.owed[:0]
+}
+
+// flush settles and sends everything rendered since the last flush in one
+// write; false means the write failed and the connection should close.
+func (c *conn) flush() bool {
+	c.settle()
+	if c.out.Buffered() == 0 {
+		return true
+	}
+	c.srv.obs.bursts.Observe(c.rendered)
+	c.rendered = 0
+	// A stalled client must not pin this goroutine mid-flush.
+	if d := c.srv.cfg.ConnTimeout; d > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(d))
+	}
+	return c.out.Flush() == nil
+}
+
+// lineBuffered reports whether a whole line — its newline included — already
+// sits in the reader's buffer, so that reading it cannot block. A torn line
+// does not count, however long; neither does a full buffer with no newline,
+// whose refusal reads on to the line's end.
+func lineBuffered(in *bufio.Reader) bool {
+	b, _ := in.Peek(in.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
 }
 
 // serveText is the text codec's read loop: one line per request, tokenized
 // zero-copy (ops alias the line until dispatch copies them into a pooled
 // request).
-func (s *Server) serveText(conn net.Conn, in *bufio.Reader, c *connReader) {
+func (c *conn) serveText(in *bufio.Reader) {
+	s := c.srv
 	scratch := c.one[:0]
-	for {
+	for c.mayRead(lineBuffered(in)) {
 		// The connection timeout is an idle/stall bound: a client that sends
 		// nothing for a whole interval is disconnected rather than holding
-		// the reader goroutine (and its fd) forever.
+		// the connection's goroutine (and its fd) forever.
 		if d := s.cfg.ConnTimeout; d > 0 {
-			conn.SetReadDeadline(time.Now().Add(d))
+			c.nc.SetReadDeadline(time.Now().Add(d))
 		}
 		raw, err := in.ReadSlice('\n')
 		s.obs.bytesIn.Add(c.stripe, uint64(len(raw)))
@@ -576,31 +615,25 @@ func (s *Server) serveText(conn net.Conn, in *bufio.Reader, c *connReader) {
 	}
 }
 
-// connReader is one connection's decode-and-submit state.
-type connReader struct {
-	srv     *Server
-	pending chan *request
-	stripe  int
-	// one backs the decode scratch while requests carry a single operand, so
-	// a connection that sends nothing wider allocates no scratch at all.
-	one [1]crafty.KVOp
-}
-
-// push submits a request to the scheduler and appends it to the
-// connection's reply queue. Outright ERR replies (usage mistakes, unknown
-// commands, refusals, failed control commands) are counted here — the one
-// spot every one of them passes through.
-func (c *connReader) push(req *request) {
+// push submits a request's operations to the scheduler — at dispatch time,
+// one queue send per operation, so a SYNC decoded later in the same burst
+// still covers them — and records that the connection owes its reply.
+// Outright ERR replies (usage mistakes, unknown commands, refusals, failed
+// control commands) are counted here — the one spot every one of them passes
+// through.
+func (c *conn) push(req *request) {
 	if req.reply.Kind == wire.TErr {
 		c.srv.obs.cmdErrs.Inc(c.stripe)
 	}
-	c.srv.submit(req)
-	c.pending <- req
+	if req.reply.Kind == 0 {
+		c.srv.submit(req, &c.done)
+	}
+	c.owed = append(c.owed, req)
 }
 
 // reply answers command typ outright with r, in order behind the
 // connection's operations in flight.
-func (c *connReader) reply(typ wire.Type, r wire.Reply) {
+func (c *conn) reply(typ wire.Type, r wire.Reply) {
 	req := newRequest(typ)
 	req.reply = r
 	c.push(req)
@@ -608,7 +641,7 @@ func (c *connReader) reply(typ wire.Type, r wire.Reply) {
 
 // answer replies to command typ with a result computed in place: ERR on
 // failure, the text when there is one, a bare OK otherwise.
-func (c *connReader) answer(typ wire.Type, text string, err error) {
+func (c *conn) answer(typ wire.Type, text string, err error) {
 	switch {
 	case err != nil:
 		c.reply(typ, wire.Reply{Kind: wire.TErr, Msg: err.Error()})
@@ -619,28 +652,12 @@ func (c *connReader) answer(typ wire.Type, text string, err error) {
 	}
 }
 
-// waitPrior blocks until every previously submitted request of this
-// connection has completed and rendered, by riding a no-output marker
-// through the reply queue: the writer processes requests in order, so
-// reaching the marker means everything before it finished. Commands whose
-// effect or reply must observe the connection's earlier operations across
-// all shards (LEN, INFO, CRASH, QUIT, ...) use it; same-key ordering needs no
-// barrier, since a key's operations share one worker queue.
-func (c *connReader) waitPrior() {
-	marker := newRequest(0)
-	marker.notify = make(chan struct{})
-	notify := marker.notify
-	close(marker.done) // bypasses submit: complete it here
-	c.pending <- marker
-	<-notify
-}
-
 // dispatch runs one decoded request, whichever codec decoded it; it returns
 // false when the connection should close. perr is the codec's refusal of a
 // request it could not decode (req then names the command, if that much was
 // legible). Operands alias the connection read buffer: addOp copies them
 // into the pooled request, they are never retained.
-func (c *connReader) dispatch(req wire.Request, perr error) bool {
+func (c *conn) dispatch(req wire.Request, perr error) bool {
 	s := c.srv
 	cmd, known := wire.Lookup(req.Type)
 	switch {
@@ -664,16 +681,16 @@ func (c *connReader) dispatch(req wire.Request, perr error) bool {
 	}
 	switch req.Type {
 	case wire.TLen:
-		c.waitPrior()
+		c.settle()
 		c.push(newRequest(wire.TLen))
 	case wire.TInfo:
-		// The full metrics snapshot. waitPrior orders it after this
+		// The full metrics snapshot. Settling orders it after this
 		// connection's earlier operations, so counters reflect them.
-		c.waitPrior()
+		c.settle()
 		c.answer(req.Type, s.infoText(), nil)
 	case wire.TSync:
 		// The barrier covers everything already queued — including this
-		// connection's earlier operations — so no waitPrior is needed. In
+		// connection's earlier operations — so it need not settle first. In
 		// sync-replication mode it additionally waits for the replica's
 		// durable acknowledgement (repl.go).
 		c.answer(req.Type, "", s.replicatedSync())
@@ -683,22 +700,22 @@ func (c *connReader) dispatch(req wire.Request, perr error) bool {
 		c.answer(req.Type, fmt.Sprintf("OK seq=%d epoch=%d dirty_shards=%d entries=%d coalesced=%d",
 			rep.Seq, rep.Epoch, rep.DirtyShards, rep.Entries, rep.Coalesced), err)
 	case wire.TCrash:
-		c.waitPrior()
+		c.settle()
 		rolledBack, entries, rep, err := s.crash()
 		c.answer(req.Type, fmt.Sprintf("OK rolled_back=%d entries=%d verified_shards=%d shards=%d full_verify=%t",
 			rolledBack, entries, rep.VerifiedShards, rep.Shards, rep.FullVerify), err)
 	case wire.TPromote:
 		// Failover: stop following the primary, checkpoint at a quiesced
-		// point, start accepting writes under a fresh generation. waitPrior
+		// point, start accepting writes under a fresh generation. Settling
 		// orders it after this connection's earlier (read) traffic.
-		c.waitPrior()
+		c.settle()
 		text, err := s.promote()
 		c.answer(req.Type, text, err)
 	case wire.TReplInfo:
-		c.waitPrior()
+		c.settle()
 		c.answer(req.Type, s.replInfo(), nil)
 	case wire.TQuit:
-		c.waitPrior()
+		c.settle()
 		c.answer(req.Type, "BYE", nil)
 		return false
 	}

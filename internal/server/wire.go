@@ -2,7 +2,8 @@
 // the read loop. Frames are decoded zero-copy — keys and values alias the
 // wire reader's frame buffer until dispatch copies them into the pooled
 // request, the same aliasing boundary the text loop uses — and replies ride
-// the connection's one bufio.Writer through the one writer goroutine.
+// the connection's one bufio.Writer, written by the connection's one
+// goroutine.
 //
 // A connection picks its codec with its first byte: the handshake magic 0xCF
 // can never begin a text command (server.go auto-detects with one Peek), so
@@ -30,9 +31,7 @@ const maxFrame = 1 << 20
 var tooLarge = wire.Reply{Kind: wire.TErr, Msg: fmt.Sprintf("frame too large %d", maxFrame)}
 
 // handshake consumes and validates the client's handshake and acks it with
-// the negotiated version: min(ours, theirs). It runs before the connection's
-// writer goroutine exists, so writing here keeps every byte on one goroutine
-// at a time.
+// the negotiated version: min(ours, theirs).
 func (s *Server) handshake(conn net.Conn, in *bufio.Reader, enc *wire.Encoder, stripe int) error {
 	var hs [wire.HandshakeLen]byte
 	if _, err := io.ReadFull(in, hs[:]); err != nil {
@@ -62,12 +61,13 @@ func (s *Server) handshake(conn net.Conn, in *bufio.Reader, enc *wire.Encoder, s
 // serveBinary is the frame codec's read loop: one frame per request, decoded
 // into a scratch op slice aliasing the frame buffer and dispatched exactly
 // like its text twin.
-func (s *Server) serveBinary(conn net.Conn, in *bufio.Reader, c *connReader) {
+func (c *conn) serveBinary(in *bufio.Reader) {
+	s := c.srv
 	r := wire.NewReader(in, maxFrame)
 	scratch := c.one[:0]
-	for {
+	for c.mayRead(r.Buffered()) {
 		if d := s.cfg.ConnTimeout; d > 0 {
-			conn.SetReadDeadline(time.Now().Add(d))
+			c.nc.SetReadDeadline(time.Now().Add(d))
 		}
 		typ, payload, err := r.Next()
 		if n := r.TakeBytes(); n > 0 {

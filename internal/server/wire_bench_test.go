@@ -287,4 +287,14 @@ func TestWireBenchSmoke(t *testing.T) {
 	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// One-op requests are where a per-request allocation shows undiluted: the
+	// connection loop serves them from pooled requests and one completion
+	// counter per connection, so the whole process (drivers included) stays
+	// well under 0.1 allocations per op. One channel or closure per request
+	// is 1.0.
+	for name, r := range map[string]wireProtoResult{"text": text, "binary_pipelined": binPipe} {
+		if r.AllocsPerOp >= 0.5 {
+			t.Errorf("%s: %.2f allocs/op, want < 0.5 — serving a request allocates again", name, r.AllocsPerOp)
+		}
+	}
 }

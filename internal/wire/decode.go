@@ -42,6 +42,19 @@ func (d *Reader) TakeBytes() uint64 {
 	return n
 }
 
+// sizeLen returns the byte length of a size field from its first byte.
+func sizeLen(tag byte) int {
+	switch tag {
+	case tag16:
+		return 3
+	case tag32:
+		return 5
+	case tag64:
+		return 9
+	}
+	return 1
+}
+
 // peekSize parses the frame's size field by peeking, without consuming it.
 // Returns the size and the header's byte length.
 func (d *Reader) peekSize() (uint64, int, error) {
@@ -49,15 +62,7 @@ func (d *Reader) peekSize() (uint64, int, error) {
 	if err != nil {
 		return 0, 0, err // io.EOF at a frame boundary stays io.EOF
 	}
-	n := 1
-	switch b[0] {
-	case tag16:
-		n = 3
-	case tag32:
-		n = 5
-	case tag64:
-		n = 9
-	}
+	n := sizeLen(b[0])
 	if n > 1 {
 		if b, err = d.r.Peek(n); err != nil {
 			if err == io.EOF {
@@ -68,6 +73,21 @@ func (d *Reader) peekSize() (uint64, int, error) {
 	}
 	v, _, err := Uint(b[:n])
 	return v, n, err
+}
+
+// Buffered reports whether Next can answer from the bytes already buffered,
+// never touching the stream: the size field and the whole frame it declares
+// sit in the bufio window (an empty or over-limit one included — Next refuses
+// those in place), or the size field is one Next rejects outright. A torn
+// frame is not buffered however much of it has arrived, so a caller that
+// owes replies can send them before it blocks in Next for the rest.
+func (d *Reader) Buffered() bool {
+	b, _ := d.r.Peek(d.r.Buffered())
+	if len(b) == 0 || len(b) < sizeLen(b[0]) {
+		return false
+	}
+	size, n, err := Uint(b)
+	return err != nil || uint64(len(b)-n) >= size
 }
 
 // Next reads one frame, returning its type and payload. The payload aliases

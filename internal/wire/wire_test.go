@@ -332,6 +332,81 @@ func TestFrameTooLargeRecoverable(t *testing.T) {
 	}
 }
 
+// countingReader hands out its chunks one Read at a time and counts the calls.
+type countingReader struct {
+	chunks [][]byte
+	reads  int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestReaderBuffered: Buffered is true exactly while Next can answer without
+// reading the stream. For every split of a stream — whole frames, one with a
+// three-byte size field, an empty one and an over-limit one — into "arrived"
+// and "still to come", Next is served from the arrived part as long as
+// Buffered says so, never reads meanwhile, and gets through precisely the
+// frames that arrived whole.
+func TestReaderBuffered(t *testing.T) {
+	frames := [][]byte{
+		encodeAll(t, func(e *Encoder) error { return e.Get([]byte("k")) }),
+		encodeAll(t, func(e *Encoder) error { return e.Put([]byte("wide"), bytes.Repeat([]byte("v"), 300)) }),
+		{0}, // empty frame: refused in place
+		encodeAll(t, func(e *Encoder) error { return e.Put([]byte("big"), bytes.Repeat([]byte("x"), 2000)) }),
+		encodeAll(t, func(e *Encoder) error { return e.Get([]byte("after")) }),
+	}
+	var raw []byte
+	var ends []int
+	for _, f := range frames {
+		raw = append(raw, f...)
+		ends = append(ends, len(raw))
+	}
+	for cut := 1; cut <= len(raw); cut++ {
+		src := &countingReader{chunks: [][]byte{raw[:cut], raw[cut:]}}
+		br := bufio.NewReaderSize(src, 2*len(raw))
+		br.Peek(1) // one Read: the arrived part is now buffered
+		d := NewReader(br, 1024)
+		whole := 0
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		got := 0
+		for d.Buffered() {
+			before := src.reads
+			d.Next() // errors are the empty and the over-limit frame's refusals
+			if src.reads != before {
+				t.Fatalf("cut %d: frame %d reported buffered, yet Next read the stream", cut, got)
+			}
+			got++
+		}
+		if got != whole {
+			t.Fatalf("cut %d: %d frames served from the buffer, %d had arrived whole", cut, got, whole)
+		}
+	}
+
+	// A size field Next rejects outright needs no further byte either.
+	src := &countingReader{chunks: [][]byte{{0xFF}}}
+	br := bufio.NewReader(src)
+	br.Peek(1)
+	d := NewReader(br, 0)
+	if !d.Buffered() {
+		t.Fatal("reserved size tag: not reported buffered")
+	}
+	var pe *ProtocolError
+	if _, _, err := d.Next(); !errors.As(err, &pe) || src.reads != 1 {
+		t.Fatalf("reserved size tag: err %v after %d reads, want a protocol error and no further read", err, src.reads)
+	}
+}
+
 // TestReaderTruncation: EOF at a frame boundary is clean; EOF inside a frame
 // is io.ErrUnexpectedEOF.
 func TestReaderTruncation(t *testing.T) {
