@@ -64,9 +64,15 @@ var quickEngines = []harness.EngineKind{harness.NonDurable, harness.Crafty}
 // contention levels, 300 ns persist latency.
 func BenchmarkFig6Bank(b *testing.B) {
 	benchFigure(b, map[string]func(int) workloads.Workload{
-		"high":   func(t int) workloads.Workload { return bank.New(bank.Config{Contention: bank.HighContention, Threads: t}) },
-		"medium": func(t int) workloads.Workload { return bank.New(bank.Config{Contention: bank.MediumContention, Threads: t}) },
-		"none":   func(t int) workloads.Workload { return bank.New(bank.Config{Contention: bank.NoContention, Threads: t}) },
+		"high": func(t int) workloads.Workload {
+			return bank.New(bank.Config{Contention: bank.HighContention, Threads: t})
+		},
+		"medium": func(t int) workloads.Workload {
+			return bank.New(bank.Config{Contention: bank.MediumContention, Threads: t})
+		},
+		"none": func(t int) workloads.Workload {
+			return bank.New(bank.Config{Contention: bank.NoContention, Threads: t})
+		},
 	}, mainEngines, 300*time.Nanosecond)
 }
 
@@ -96,8 +102,12 @@ func BenchmarkFig8STAMP(b *testing.B) {
 // with the 100 ns persist-latency sensitivity setting.
 func BenchmarkFig22BankLat100(b *testing.B) {
 	benchFigure(b, map[string]func(int) workloads.Workload{
-		"high": func(t int) workloads.Workload { return bank.New(bank.Config{Contention: bank.HighContention, Threads: t}) },
-		"none": func(t int) workloads.Workload { return bank.New(bank.Config{Contention: bank.NoContention, Threads: t}) },
+		"high": func(t int) workloads.Workload {
+			return bank.New(bank.Config{Contention: bank.HighContention, Threads: t})
+		},
+		"none": func(t int) workloads.Workload {
+			return bank.New(bank.Config{Contention: bank.NoContention, Threads: t})
+		},
 	}, mainEngines, 100*time.Nanosecond)
 }
 
@@ -112,10 +122,10 @@ func BenchmarkFig23BTreeLat100(b *testing.B) {
 // BenchmarkFig24STAMPLat100 regenerates Figure 24 (STAMP, 100 ns).
 func BenchmarkFig24STAMPLat100(b *testing.B) {
 	benchFigure(b, map[string]func(int) workloads.Workload{
-		"kmeans-high": func(int) workloads.Workload { return stamp.NewKMeans(true) },
+		"kmeans-high":  func(int) workloads.Workload { return stamp.NewKMeans(true) },
 		"vacation-low": func(int) workloads.Workload { return stamp.NewVacation(false) },
-		"ssca2":       func(int) workloads.Workload { return stamp.NewSSCA2() },
-		"intruder":    func(int) workloads.Workload { return stamp.NewIntruder() },
+		"ssca2":        func(int) workloads.Workload { return stamp.NewSSCA2() },
+		"intruder":     func(int) workloads.Workload { return stamp.NewIntruder() },
 	}, quickEngines, 100*time.Nanosecond)
 }
 

@@ -364,6 +364,7 @@ func (e *Engine) RegisterThread() (*Thread, error) {
 		hw:      hwThread,
 		log:     log,
 		flusher: flusher,
+		ro:      ptm.ROTx{Heap: e.heap},
 	}
 	if e.arena != nil {
 		t.txAlloc = alloc.NewTxLog(e.arena, flusher)

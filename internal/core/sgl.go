@@ -68,22 +68,15 @@ func (c *collectTx) Free(addr nvm.Addr) {
 // excludes all speculative transactions (every thread-safe hardware
 // transaction reads the SGL and aborts if it is held) and lets Crafty run in
 // its thread-unsafe chunked mode, which guarantees progress.
-func (t *Thread) runSGL(body func(tx ptm.Tx) error, lockHeld bool) error {
-	if !lockHeld {
-		for !t.eng.hw.NonTxCAS(t.eng.sglAddr, 0, 1) {
-		}
-		// Close the emulation's publication window: wait out any transaction
-		// that validated before we took the lock (on real hardware a commit
-		// is instantaneous, so this window does not exist).
-		t.eng.hw.QuiesceCommitters()
-		// Off-path stamping: the SGL fallback runs no speculative hardware
-		// transaction around these points, so time.Now and the counter are
-		// free of write-set concerns here.
-		t.eng.metrics.SGLEntries.Inc(t.slot)
-		t0 := time.Now()
-		defer t.eng.metrics.SGLDwellNs.ObserveSince(t0)
-		defer t.eng.hw.NonTxStore(t.eng.sglAddr, 0)
-	}
+func (t *Thread) runSGL(body func(tx ptm.Tx) error) error {
+	t.eng.hw.AcquireSGL(t.eng.sglAddr)
+	// Off-path stamping: the SGL fallback runs no speculative hardware
+	// transaction around these points, so time.Now and the counter are
+	// free of write-set concerns here.
+	t.eng.metrics.SGLEntries.Inc(t.slot)
+	t0 := time.Now()
+	defer t.eng.metrics.SGLDwellNs.ObserveSince(t0)
+	defer t.eng.hw.ReleaseSGL(t.eng.sglAddr)
 	t.prepareRetry()
 
 	writes, commitTS, err := t.chunkedExecute(body)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
-	"time"
 
 	"crafty/internal/alloc"
 	"crafty/internal/htm"
@@ -77,7 +75,7 @@ type Thread struct {
 	// deduplicates written lines through.
 	a          attempt
 	ctx        craftyTx
-	ro         roTx
+	ro         ptm.ROTx
 	flushLines []uint64
 
 	// lastCommittedTS publishes the timestamp of this thread's most recent
@@ -241,10 +239,10 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 				continue
 			}
 			if a.sglBusy {
-				t.waitForSGL()
+				t.eng.hw.AwaitSGL(t.eng.sglAddr)
 			}
 			if failures++; failures > t.eng.cfg.MaxRetries {
-				return t.runSGL(body, false)
+				return t.runSGL(body)
 			}
 			continue
 		}
@@ -275,9 +273,9 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 				// The single global lock was taken; whatever its holder wrote
 				// may invalidate our log, so restart from the Log phase once
 				// the lock is free.
-				t.waitForSGL()
+				t.eng.hw.AwaitSGL(t.eng.sglAddr)
 				if failures++; failures > t.eng.cfg.MaxRetries {
-					return t.runSGL(body, false)
+					return t.runSGL(body)
 				}
 				t.prepareRetry()
 				continue
@@ -298,7 +296,7 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 			// Crafty-NoValidate: a failed Redo phase restarts the whole
 			// transaction from the Log phase.
 			if failures++; failures > t.eng.cfg.MaxRetries {
-				return t.runSGL(body, false)
+				return t.runSGL(body)
 			}
 			t.prepareRetry()
 			continue
@@ -320,13 +318,13 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 				break
 			}
 			if a.sglBusy {
-				t.waitForSGL()
+				t.eng.hw.AwaitSGL(t.eng.sglAddr)
 				restart = true
 				break
 			}
 			failures++
 			if failures > t.eng.cfg.MaxRetries {
-				return t.runSGL(body, false)
+				return t.runSGL(body)
 			}
 		}
 		if committed {
@@ -338,38 +336,11 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 			failures++
 		}
 		if failures > t.eng.cfg.MaxRetries {
-			return t.runSGL(body, false)
+			return t.runSGL(body)
 		}
 		t.prepareRetry()
 	}
 }
-
-// roTx is the read-only ptm.Tx adapter of the fast path. It is specialized
-// to its two concrete load sources (the speculative hardware transaction, or
-// the heap directly under the SGL / in thread-unsafe mode) rather than using
-// the generic ptm.ROTx, saving one dynamic dispatch per load — loads are the
-// entire cost of a read-only body. Mutations fail the transaction.
-type roTx struct {
-	hwtx *htm.Tx // speculative source; nil on the direct-read paths
-	heap *nvm.Heap
-}
-
-// Load implements ptm.Tx.
-func (r *roTx) Load(addr nvm.Addr) uint64 {
-	if r.hwtx != nil {
-		return r.hwtx.Load(addr)
-	}
-	return r.heap.Load(addr)
-}
-
-// Store implements ptm.Tx by failing the read-only transaction.
-func (r *roTx) Store(nvm.Addr, uint64) { ptm.FailReadOnly() }
-
-// Alloc implements ptm.Tx by failing the read-only transaction.
-func (r *roTx) Alloc(int) nvm.Addr { ptm.FailReadOnly(); return nvm.NilAddr }
-
-// Free implements ptm.Tx by failing the read-only transaction.
-func (r *roTx) Free(nvm.Addr) { ptm.FailReadOnly() }
 
 // AtomicRead implements ptm.Thread: it executes body as one read-only
 // persistent transaction at the cost the paper's model promises for reads —
@@ -378,74 +349,21 @@ func (r *roTx) Free(nvm.Addr) { ptm.FailReadOnly() }
 // phase yield. A read-only body publishes nothing, so nothing needs logging
 // or flushing: the hardware transaction alone provides the atomic snapshot
 // (DESIGN.md §6). Mutations fail the transaction with ptm.ErrReadOnlyTx.
-// After repeated hardware aborts the body runs to completion under the
-// single global lock, which read-only bodies may hold without any chunking:
-// there is nothing to log, so progress is guaranteed.
-func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) (err error) {
-	defer ptm.CatchReadOnly(&err)
+// The hardware transaction, its retries and the single-global-lock fallback
+// are ptm.ROTx.ReadElided, the loop every lock-eliding engine shares; this
+// function adds Crafty's thread-unsafe arm and its off-path instruments.
+func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) error {
 	if t.eng.cfg.Mode == ThreadUnsafe {
 		// The caller supplies thread atomicity, so direct heap reads already
 		// observe a stable snapshot.
-		t.ro = roTx{heap: t.eng.heap}
-		if berr := body(&t.ro); berr != nil {
-			t.userAborts++
-			return fmt.Errorf("%w: %w", ptm.ErrAborted, berr)
-		}
-		t.outcomes[ptm.OutcomeReadOnly]++
-		return nil
+		return ptm.NoteRead(&t.outcomes, &t.userAborts, ptm.OutcomeReadOnly, t.ro.ReadDirect(body))
 	}
-
-	failures := 0
-	for {
-		a := &t.a
-		a.sglBusy = false
-		a.userErr = nil
-		cause := t.hw.Run(func(hwtx *htm.Tx) {
-			if hwtx.Load(t.eng.sglAddr) != 0 {
-				a.sglBusy = true
-				hwtx.Abort()
-			}
-			t.ro = roTx{hwtx: hwtx}
-			if berr := body(&t.ro); berr != nil {
-				a.userErr = berr
-				hwtx.Abort()
-			}
-		})
-		if a.userErr != nil {
-			t.userAborts++
-			return fmt.Errorf("%w: %w", ptm.ErrAborted, a.userErr)
-		}
-		if cause == htm.CauseNone {
-			t.outcomes[ptm.OutcomeReadOnly]++
-			return nil
-		}
-		if a.sglBusy {
-			t.waitForSGL()
-		}
-		if failures++; failures > t.eng.cfg.MaxRetries {
-			return t.readSGL(body)
-		}
+	way, dwell, err := t.ro.ReadElided(t.hw, t.eng.sglAddr, t.eng.cfg.MaxRetries, body)
+	if way == ptm.OutcomeSGL {
+		t.eng.metrics.SGLReads.Inc(t.slot)
+		t.eng.metrics.SGLDwellNs.Observe(int64(dwell))
 	}
-}
-
-// readSGL completes a read-only transaction under the single global lock:
-// with every speculative transaction excluded and in-flight commits
-// quiesced, direct heap reads are a consistent snapshot.
-func (t *Thread) readSGL(body func(tx ptm.Tx) error) error {
-	for !t.eng.hw.NonTxCAS(t.eng.sglAddr, 0, 1) {
-	}
-	t.eng.hw.QuiesceCommitters()
-	t.eng.metrics.SGLReads.Inc(t.slot)
-	t0 := time.Now()
-	defer t.eng.metrics.SGLDwellNs.ObserveSince(t0)
-	defer t.eng.hw.NonTxStore(t.eng.sglAddr, 0)
-	t.ro = roTx{heap: t.eng.heap}
-	if err := body(&t.ro); err != nil {
-		t.userAborts++
-		return fmt.Errorf("%w: %w", ptm.ErrAborted, err)
-	}
-	t.outcomes[ptm.OutcomeSGL]++
-	return nil
+	return ptm.NoteRead(&t.outcomes, &t.userAborts, way, err)
 }
 
 // failTooLarge abandons a transaction whose write set cannot fit the
@@ -493,15 +411,5 @@ func (t *Thread) finishCommit(outcome ptm.Outcome, a *attempt) {
 	}
 	if !a.readOnly && a.lastTS != 0 {
 		t.checkLag(a.lastTS)
-	}
-}
-
-// waitForSGL spins until the single global lock is free, yielding the
-// processor so the holder can run even when worker threads outnumber
-// schedulable processors. The subsequent hardware transaction re-checks it,
-// so a race here only costs another retry.
-func (t *Thread) waitForSGL() {
-	for t.eng.hw.NonTxLoad(t.eng.sglAddr) != 0 {
-		runtime.Gosched()
 	}
 }

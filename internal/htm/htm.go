@@ -162,6 +162,33 @@ func (e *Engine) QuiesceCommitters() {
 	}
 }
 
+// AcquireSGL takes the single global lock whose word lives at addr — the lock
+// every elided transaction reads first and aborts on — and closes the
+// emulation's publication window by waiting out any transaction that
+// validated before the lock was taken. A waiter yields rather than spins: the
+// holder may be descheduled, and with fewer processors than workers a bare
+// spin burns a whole preemption slice before it can run.
+func (e *Engine) AcquireSGL(addr nvm.Addr) {
+	for !e.NonTxCAS(addr, 0, 1) {
+		runtime.Gosched()
+	}
+	e.QuiesceCommitters()
+}
+
+// ReleaseSGL frees the lock AcquireSGL took. The store is strongly isolated,
+// so transactions that read the held lock word observe the change.
+func (e *Engine) ReleaseSGL(addr nvm.Addr) { e.NonTxStore(addr, 0) }
+
+// AwaitSGL returns once the single global lock at addr is free, yielding the
+// processor so the holder can run even when worker threads outnumber
+// schedulable processors. The caller's next hardware transaction re-checks
+// the word, so a race here only costs another retry.
+func (e *Engine) AwaitSGL(addr nvm.Addr) {
+	for e.NonTxLoad(addr) != 0 {
+		runtime.Gosched()
+	}
+}
+
 // NewEngine creates an emulated HTM engine over heap.
 func NewEngine(heap *nvm.Heap, cfg Config) *Engine {
 	lines := (heap.Words() + nvm.WordsPerLine - 1) / nvm.WordsPerLine

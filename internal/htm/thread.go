@@ -74,6 +74,9 @@ func (e *Engine) NewThread(seed int64) *Thread {
 // on.
 func (t *Thread) Flusher() *nvm.Flusher { return t.flusher }
 
+// Engine returns the device the thread is registered with.
+func (t *Thread) Engine() *Engine { return t.eng }
+
 // ID returns the thread's engine-unique identifier.
 func (t *Thread) ID() int { return t.id }
 

@@ -151,16 +151,20 @@ type applyState struct {
 	opErr   error // its error
 	cur     int   // op index for the per-op fallback bodies
 
-	// Metrics staging: the caller's counter stripe, and the rehash-step mask
-	// the per-op fallback bodies stage for the post-commit fold (bodies may
-	// re-execute; instruments are only touched after Atomic returns).
-	stripe   int
+	// Metrics staging: the rehash-step mask the per-op write body stages for
+	// execOp's post-commit fold (bodies may re-execute; instruments are only
+	// touched after Atomic returns).
 	lastStep rehashStep
 
 	// Write-combining scratch: for each distinct key seen while walking the
 	// group backward, the op index of its nearest later member.
 	seenH   []uint64
 	seenIdx []int
+
+	// one and oneRes back ops and res when the state carries a single
+	// operation for Store.Get/Put/Delete (oneOp), so those allocate nothing.
+	one    [1]Op
+	oneRes [1]OpResult
 
 	// Pre-bound transaction bodies (one closure each per state lifetime).
 	groupBody func(tx ptm.Tx) error
@@ -205,7 +209,6 @@ func (s *Store) Apply(th ptm.Thread, ops []Op, res []OpResult, dst []byte) ([]Op
 	}
 	a := applyPool.Get().(*applyState)
 	a.s, a.ops, a.dst = s, ops, dst
-	a.stripe = stripeOf(th)
 
 	for i := range ops {
 		res = append(res, OpResult{hash: hashKey(ops[i].Key), off: -1})
@@ -254,8 +257,20 @@ func (s *Store) Apply(th ptm.Thread, ops []Op, res []OpResult, dst []byte) ([]Op
 	}
 	res, dst = a.res, a.dst
 	a.release()
-	applyPool.Put(a)
 	return res, dst, nil
+}
+
+// oneOp readies a pooled state to run one operation alone through execOp:
+// what Get, Put and Delete are. dst receives a get's value. Fields are set
+// one by one — a whole-struct copy of pointer-carrying types costs a typed
+// memmove on the per-op hot path.
+func (s *Store) oneOp(kind OpKind, key, value, dst []byte) *applyState {
+	a := applyPool.Get().(*applyState)
+	op, r := &a.one[0], &a.oneRes[0]
+	op.Kind, op.Key, op.Value = kind, key, value
+	r.hash, r.off, r.Found = hashKey(key), -1, false
+	a.s, a.ops, a.res, a.dst = s, a.one[:], a.oneRes[:], dst
+	return a
 }
 
 // beginGroup resets the per-group state.
@@ -310,19 +325,22 @@ func (a *applyState) combineGroup() {
 	}
 }
 
-// release drops references to the caller's slices before the state returns to
+// release drops references to the caller's slices and returns the state to
 // the pool (the index scratch stays for reuse).
 func (a *applyState) release() {
 	a.s = nil
 	a.ops = nil
 	a.res = nil
 	a.dst = nil
+	a.one[0].Key, a.one[0].Value = nil, nil
+	applyPool.Put(a)
 }
 
 // commitGroup runs the current group in one transaction, falling back to
 // per-op execution when the shard cannot be batch-committed, and records the
 // members' outcomes.
 func (a *applyState) commitGroup(th ptm.Thread) {
+	stripe := stripeOf(th)
 	var err error
 	if a.writes {
 		err = th.Atomic(a.groupBody)
@@ -332,7 +350,7 @@ func (a *applyState) commitGroup(th ptm.Thread) {
 	}
 	if err == nil {
 		// Off-path stamp: the group's transaction has committed.
-		a.s.ms.ApplyGroups.Inc(a.stripe)
+		a.s.ms.ApplyGroups.Inc(stripe)
 		a.s.ms.ApplyGroupOps.Observe(int64(len(a.members)))
 		for _, i := range a.members {
 			a.res[i].done = true
@@ -343,11 +361,11 @@ func (a *applyState) commitGroup(th ptm.Thread) {
 		return
 	}
 	if errors.Is(err, errGroupFallback) {
-		a.s.ms.ApplyFallbacks.Inc(a.stripe)
+		a.s.ms.ApplyFallbacks.Inc(stripe)
 		a.fallback(th)
 		return
 	}
-	a.s.ms.ApplyGroupAborts.Inc(a.stripe)
+	a.s.ms.ApplyGroupAborts.Inc(stripe)
 	// The group's transaction failed: all-or-nothing, typed per op.
 	for k, i := range a.members {
 		a.res[i].done = true
@@ -397,16 +415,7 @@ func (a *applyState) runGroup(tx ptm.Tx) error {
 		r := &a.res[i]
 		switch op.Kind {
 		case OpGet:
-			off := len(a.dst)
-			slot := s.find(tx, hdr, r.hash, op.Key)
-			if slot == nvm.NilAddr {
-				continue
-			}
-			block := nvm.Addr(tx.Load(slot + 1))
-			keyLen, valLen := unpackHeader(tx.Load(block))
-			a.dst = appendBytes(tx, block+1+nvm.Addr((keyLen+7)/8), valLen, a.dst)
-			r.off, r.n = off, valLen
-			r.Found = true
+			a.getOp(tx, hdr, i)
 		case OpPut:
 			if err := s.putSlot(tx, hdr, r.hash, op.Key, op.Value); err != nil {
 				a.errIdx, a.opErr = k, err
@@ -419,22 +428,40 @@ func (a *applyState) runGroup(tx ptm.Tx) error {
 	return nil
 }
 
-// fallback re-runs the current group's operations individually, exactly as
-// Put/Delete/Get would: mutating ops step the shard's rehash one bounded
-// batch per transaction, reads ride the read-only fast path.
+// getOp is the body of one get, in a group or alone: the store's lookup,
+// with the value's span in dst recorded for Apply to resolve once dst's
+// storage is final. The caller has reset the result (bodies re-execute).
+func (a *applyState) getOp(tx ptm.Tx, hdr nvm.Addr, i int) {
+	r := &a.res[i]
+	off := len(a.dst)
+	if a.dst, r.Found = a.s.lookup(tx, hdr, r.hash, a.ops[i].Key, a.dst); r.Found {
+		r.off, r.n = off, len(a.dst)-off
+	}
+}
+
+// execOp runs operation i in a transaction of its own, exactly as Get, Put
+// and Delete do — they are this function on a one-op state — and as a group
+// that cannot be batch-committed falls back to: a mutating op steps the
+// shard's rehash one bounded batch and, once committed, folds the step it
+// staged into the metrics; a read rides the read-only fast path.
+func (a *applyState) execOp(th ptm.Thread, i int) error {
+	a.cur = i
+	if a.ops[i].Kind == OpGet {
+		a.baseDst = len(a.dst)
+		return th.AtomicRead(a.readBody)
+	}
+	err := th.Atomic(a.writeBody)
+	if err == nil {
+		a.s.ms.noteRehash(stripeOf(th), a.lastStep)
+	}
+	return err
+}
+
+// fallback re-runs the current group's operations individually, so a shard
+// mid-rehash keeps its one-step-per-transaction progress rate.
 func (a *applyState) fallback(th ptm.Thread) {
 	for _, i := range a.members {
-		a.cur = i
-		var err error
-		if a.ops[i].Kind == OpGet {
-			a.baseDst = len(a.dst)
-			err = th.AtomicRead(a.readBody)
-		} else {
-			err = th.Atomic(a.writeBody)
-			if err == nil {
-				a.s.ms.noteRehash(a.stripe, a.lastStep)
-			}
-		}
+		err := a.execOp(th, i)
 		r := &a.res[i]
 		r.done = true
 		if err != nil {
@@ -447,30 +474,24 @@ func (a *applyState) fallback(th ptm.Thread) {
 	}
 }
 
-// runWriteOp is the per-op fallback body for puts and deletes.
+// runWriteOp is the per-op body for puts and deletes. Each (re-)execution
+// overwrites lastStep; execOp's fold sees the committed execution's mask.
 func (a *applyState) runWriteOp(tx ptm.Tx) error {
-	op := &a.ops[a.cur]
+	op, r := &a.ops[a.cur], &a.res[a.cur]
 	if op.Kind == OpPut {
 		var err error
-		a.lastStep, err = a.s.putTxStep(tx, op.Key, op.Value)
+		a.lastStep, err = a.s.putTxStep(tx, r.hash, op.Key, op.Value)
 		return err
 	}
-	a.res[a.cur].Found, a.lastStep = a.s.deleteTxStep(tx, op.Key)
+	r.Found, a.lastStep = a.s.deleteTxStep(tx, r.hash, op.Key)
 	return nil
 }
 
-// runReadOp is the per-op fallback body for gets. Reset on entry: engines may
+// runReadOp is the per-op body for gets. Reset on entry: engines may
 // re-execute the body.
 func (a *applyState) runReadOp(tx ptm.Tx) error {
-	r := &a.res[a.cur]
-	r.off = -1
-	r.Found = false
 	a.dst = a.dst[:a.baseDst]
-	var ok bool
-	a.dst, ok = a.s.GetTx(tx, a.ops[a.cur].Key, a.dst)
-	if ok {
-		r.off, r.n = a.baseDst, len(a.dst)-a.baseDst
-		r.Found = true
-	}
+	a.res[a.cur].off = -1
+	a.getOp(tx, a.s.shardHeader(a.s.shardOf(a.res[a.cur].hash)), a.cur)
 	return nil
 }

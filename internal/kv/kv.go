@@ -27,7 +27,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"crafty/internal/alloc"
@@ -442,18 +441,33 @@ func (s *Store) find(tx ptm.Tx, hdr nvm.Addr, h uint64, key []byte) nvm.Addr {
 	return nvm.NilAddr
 }
 
+// slotValue appends the value of the entry a found slot points at to dst. It
+// is the one place a slot becomes value bytes: block address, header, the
+// value words past the key.
+func slotValue(tx ptm.Tx, slot nvm.Addr, dst []byte) []byte {
+	block := nvm.Addr(tx.Load(slot + 1))
+	keyLen, valLen := unpackHeader(tx.Load(block))
+	return appendBytes(tx, block+1+nvm.Addr((keyLen+7)/8), valLen, dst)
+}
+
+// lookup is the store's one read: it finds key (hash h) in the shard at hdr
+// and appends its value to dst. GetTx, Get, and both of Apply's read arms
+// (the group body and the per-op body) are this function under a different
+// transaction; it performs no persistent writes.
+func (s *Store) lookup(tx ptm.Tx, hdr nvm.Addr, h uint64, key, dst []byte) ([]byte, bool) {
+	slot := s.find(tx, hdr, h, key)
+	if slot == nvm.NilAddr {
+		return dst, false
+	}
+	return slotValue(tx, slot, dst), true
+}
+
 // GetTx looks key up within the caller's transaction, appending the value to
 // dst. GetTx performs no persistent writes, so a transaction that only calls
 // it commits on Crafty's read-only fast path.
 func (s *Store) GetTx(tx ptm.Tx, key []byte, dst []byte) ([]byte, bool) {
 	h := hashKey(key)
-	slot := s.find(tx, s.shardHeader(s.shardOf(h)), h, key)
-	if slot == nvm.NilAddr {
-		return dst, false
-	}
-	block := nvm.Addr(tx.Load(slot + 1))
-	keyLen, valLen := unpackHeader(tx.Load(block))
-	return appendBytes(tx, block+1+nvm.Addr((keyLen+7)/8), valLen, dst), true
+	return s.lookup(tx, s.shardHeader(s.shardOf(h)), h, key, dst)
 }
 
 // PutTx inserts or updates key within the caller's transaction. Updates
@@ -465,18 +479,17 @@ func (s *Store) PutTx(tx ptm.Tx, key, value []byte) error {
 	// The staged rehash-step mask is discarded: an externally composed
 	// transaction gives the store no post-commit fold point, and metrics must
 	// never be stamped from inside the body itself.
-	_, err := s.putTxStep(tx, key, value)
+	_, err := s.putTxStep(tx, hashKey(key), key, value)
 	return err
 }
 
 // putTxStep is PutTx returning the staged rehash-step mask for callers that
 // own the enclosing transaction (Put, the Apply fallback) and can fold it
 // after commit.
-func (s *Store) putTxStep(tx ptm.Tx, key, value []byte) (rehashStep, error) {
+func (s *Store) putTxStep(tx ptm.Tx, h uint64, key, value []byte) (rehashStep, error) {
 	if err := validatePut(key, value); err != nil {
 		return 0, err
 	}
-	h := hashKey(key)
 	hdr := s.shardHeader(s.shardOf(h))
 	step := s.stepRehash(tx, hdr)
 	return step, s.putSlot(tx, hdr, h, key, value)
@@ -551,14 +564,13 @@ func (s *Store) putSlot(tx ptm.Tx, hdr nvm.Addr, h uint64, key, value []byte) er
 // was present. The slot becomes a tombstone (reclaimed by the next rehash)
 // and the entry's block is freed at commit.
 func (s *Store) DeleteTx(tx ptm.Tx, key []byte) bool {
-	found, _ := s.deleteTxStep(tx, key)
+	found, _ := s.deleteTxStep(tx, hashKey(key), key)
 	return found
 }
 
 // deleteTxStep is DeleteTx returning the staged rehash-step mask for callers
 // that own the enclosing transaction and can fold it after commit.
-func (s *Store) deleteTxStep(tx ptm.Tx, key []byte) (bool, rehashStep) {
-	h := hashKey(key)
+func (s *Store) deleteTxStep(tx ptm.Tx, h uint64, key []byte) (bool, rehashStep) {
 	hdr := s.shardHeader(s.shardOf(h))
 	step := s.stepRehash(tx, hdr)
 	return s.deleteSlot(tx, hdr, h, key), step
@@ -607,61 +619,10 @@ func (s *Store) scanTable(tx ptm.Tx, table nvm.Addr, slots uint64, h uint64, n, 
 		if tag == tagEmpty || tag == tagTombstone {
 			continue
 		}
-		block := nvm.Addr(tx.Load(slot + 1))
-		keyLen, valLen := unpackHeader(tx.Load(block))
-		dst = appendBytes(tx, block+1+nvm.Addr((keyLen+7)/8), valLen, dst)
+		dst = slotValue(tx, slot, dst)
 		seen++
 	}
 	return dst, seen
-}
-
-// opCall carries one Get/Put/Delete invocation's arguments and results
-// through the transaction body. The structs are pooled and the bodies bound
-// once at pool time: a closure capturing the results by reference would cost
-// heap allocations per op (the closure plus each boxed result), and these
-// wrappers are the per-op hot path.
-type opCall struct {
-	s          *Store
-	key, value []byte // value: the put's argument, or the get's dst and result
-	step       rehashStep
-	found      bool
-	get        func(ptm.Tx) error
-	put        func(ptm.Tx) error
-	del        func(ptm.Tx) error
-}
-
-var opCallPool = sync.Pool{New: func() any {
-	c := new(opCall)
-	c.get = c.runGet
-	c.put = c.runPut
-	c.del = c.runDel
-	return c
-}}
-
-func (c *opCall) runGet(tx ptm.Tx) error {
-	// Reset on entry: engines may re-execute the body.
-	c.value, c.found = c.s.GetTx(tx, c.key, c.value[:0])
-	return nil
-}
-
-func (c *opCall) runPut(tx ptm.Tx) error {
-	// Each (re-)execution overwrites step; the fold in Put sees the
-	// committed execution's mask.
-	var err error
-	c.step, err = c.s.putTxStep(tx, c.key, c.value)
-	return err
-}
-
-func (c *opCall) runDel(tx ptm.Tx) error {
-	c.found, c.step = c.s.deleteTxStep(tx, c.key)
-	return nil
-}
-
-// release clears the argument references (the pool must not pin caller
-// buffers) and returns the struct.
-func (c *opCall) release() {
-	c.s, c.key, c.value = nil, nil, nil
-	opCallPool.Put(c)
 }
 
 // Get runs a read-only lookup transaction on the engine's read fast path
@@ -669,40 +630,27 @@ func (c *opCall) release() {
 // appending the value to dst[:0] (pass nil to allocate). The returned slice
 // aliases dst's storage.
 func (s *Store) Get(th ptm.Thread, key, dst []byte) ([]byte, bool, error) {
-	c := opCallPool.Get().(*opCall)
-	c.s, c.key, c.value, c.found = s, key, dst, false
-	err := th.AtomicRead(c.get)
-	out, ok := c.value, c.found
-	c.release()
-	if err != nil {
+	a := s.oneOp(OpGet, key, nil, dst[:0])
+	defer a.release()
+	if err := a.execOp(th, 0); err != nil {
 		return nil, false, err
 	}
-	return out, ok, nil
+	return a.dst, a.res[0].Found, nil
 }
 
 // Put runs an insert-or-update transaction.
 func (s *Store) Put(th ptm.Thread, key, value []byte) error {
-	c := opCallPool.Get().(*opCall)
-	c.s, c.key, c.value, c.step = s, key, value, 0
-	err := th.Atomic(c.put)
-	if err == nil {
-		s.ms.noteRehash(stripeOf(th), c.step)
-	}
-	c.release()
-	return err
+	a := s.oneOp(OpPut, key, value, nil)
+	defer a.release()
+	return a.execOp(th, 0)
 }
 
 // Delete runs a delete transaction, reporting whether the key was present.
 func (s *Store) Delete(th ptm.Thread, key []byte) (bool, error) {
-	c := opCallPool.Get().(*opCall)
-	c.s, c.key, c.step, c.found = s, key, 0, false
-	err := th.Atomic(c.del)
-	if err == nil {
-		s.ms.noteRehash(stripeOf(th), c.step)
-	}
-	ok := c.found
-	c.release()
-	return ok, err
+	a := s.oneOp(OpDelete, key, nil, nil)
+	defer a.release()
+	err := a.execOp(th, 0)
+	return a.res[0].Found, err
 }
 
 // Len returns the number of live entries, summed over shards in one

@@ -221,8 +221,8 @@ func TestApplyAllGetsMatchesGet(t *testing.T) {
 }
 
 // TestGetAllocFree pins the single-key read at zero allocations: the lookup
-// rides a pooled call struct with its transaction body bound once, like Put
-// and Delete, instead of a closure that escapes per call.
+// rides a pooled one-op apply state with its transaction body bound once,
+// like Put and Delete, instead of a closure that escapes per call.
 func TestGetAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

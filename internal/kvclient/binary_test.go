@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -177,39 +178,27 @@ func TestBinaryMode(t *testing.T) {
 	}
 }
 
-// TestBinaryFallbackToText: against a text-only server the handshake is
-// answered with one ERR line; the client downgrades to text on the same
-// connection, permanently, and everything works.
-func TestBinaryFallbackToText(t *testing.T) {
+// TestBinaryHandshakeRefused: a peer that answers the handshake with a text
+// line that is not a transient refusal does not speak the frame codec; Dial
+// fails with the typed error at once instead of retrying or downgrading.
+func TestBinaryHandshakeRefused(t *testing.T) {
 	s := startFake(t)
 	c, err := Dial(s.l.Addr().String(), binCfg())
-	if err != nil {
-		t.Fatal(err)
+	var refused *HandshakeRefusedError
+	if !errors.As(err, &refused) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("Dial against a text-only peer = %v, want *HandshakeRefusedError", err)
 	}
-	defer c.Close()
-	if c.Binary() {
-		t.Fatal("client claims binary against a text-only server")
-	}
-	if err := c.Put("alpha", "one"); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := c.Get("alpha"); err != nil || !ok || v != "one" {
-		t.Fatalf("Get = %q %v %v", v, ok, err)
-	}
-	// The downgrade is sticky across reconnects: force a redial and check
-	// the client does not retry the handshake against the text server.
-	c.Close()
-	if err := c.Put("beta", "two"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Binary() {
-		t.Fatal("downgrade did not stick across a reconnect")
+	if !strings.HasPrefix(refused.Line, "ERR ") {
+		t.Fatalf("refusal carries %q, want the peer's ERR line", refused.Line)
 	}
 }
 
 // TestBinaryRetriesRecovering: the recovering refusal arrives as a text line
 // even on a binary-capable server (it is sent before the handshake is read);
-// it must be retried, not treated as a text downgrade.
+// it must be retried, not taken for a peer without the frame codec.
 func TestBinaryRetriesRecovering(t *testing.T) {
 	s := startFakeBin(t)
 	s.refuse.Store(3)
@@ -219,7 +208,7 @@ func TestBinaryRetriesRecovering(t *testing.T) {
 	}
 	defer c.Close()
 	if !c.Binary() {
-		t.Fatal("recovering refusal downgraded the client to text")
+		t.Fatal("connection after the recovering refusals is not binary")
 	}
 	if err := c.Put("alpha", "one"); err != nil {
 		t.Fatal(err)

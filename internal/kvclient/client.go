@@ -1,7 +1,6 @@
 // Package kvclient is a minimal client for craftykv. It speaks both codecs of
 // internal/wire — text lines, and with Config.Binary the length-prefixed
-// frames, negotiated per connection with a sticky per-client fallback to text
-// when the server predates the handshake — through one round trip over
+// frames, negotiated per connection — through one round trip over
 // wire.Request and wire.Reply values: the typed methods build Requests and
 // read Replies and never format or parse a line (only the debug shim Do does,
 // via wire). It carries the retry discipline a server that injects crashes
@@ -52,12 +51,10 @@ type Config struct {
 	Seed int64
 	// Binary opts into the frame codec (internal/wire): each new connection
 	// opens with the versioned handshake and requests and replies travel as
-	// frames; every method behaves identically either way. A peer that
-	// answers the handshake with a text error (a text-only server parsing it
-	// as one garbage line) downgrades the client to text permanently; the
-	// "ERR recovering" and connection-limit refusals are retried instead,
-	// since a binary-capable server sends those in text before the handshake
-	// is read.
+	// frames; every method behaves identically either way. The "ERR
+	// recovering" and connection-limit refusals, which the server sends in
+	// text before it reads the handshake, are retried; any other text answer
+	// to the handshake fails the request with a *HandshakeRefusedError.
 	Binary bool
 }
 
@@ -126,17 +123,14 @@ type Client struct {
 	r    *bufio.Reader
 	w    *bufio.Writer
 
-	// The current connection's codec — wire.Encoder and wire.Reader, or their
-	// line twins — and whether it negotiated binary. textOnly is the sticky
-	// downgrade after a text-only server refused the handshake.
+	// The current connection's codec: wire.Encoder and wire.Reader, or their
+	// line twins.
 	enc interface {
 		Request(wire.Request) error
 	}
 	dec interface {
 		ReadReply(cmd wire.Type) (wire.Reply, error)
 	}
-	bin      bool
-	textOnly bool
 
 	// Reused request and reply storage: one op and its key/value bytes for
 	// the single-key methods, and the replies of the last round trip with
@@ -152,7 +146,7 @@ type Client struct {
 }
 
 // Binary reports whether the current connection speaks the binary protocol.
-func (c *Client) Binary() bool { return c.conn != nil && c.bin }
+func (c *Client) Binary() bool { return c.conn != nil && c.cfg.Binary }
 
 // Dial creates a client and establishes its first connection, retrying dial
 // failures within the budget.
@@ -208,20 +202,27 @@ func (c *Client) ensureConn() error {
 	c.conn = conn
 	c.r = bufio.NewReader(conn)
 	c.w = bufio.NewWriter(conn)
-	c.enc, c.dec, c.bin = wire.NewLineEncoder(c.w), wire.NewLineReader(c.r), false
-	if c.cfg.Binary && !c.textOnly {
+	if c.cfg.Binary {
 		return c.handshake()
 	}
+	c.enc, c.dec = wire.NewLineEncoder(c.w), wire.NewLineReader(c.r)
 	return nil
 }
 
+// HandshakeRefusedError reports a peer that answered the binary handshake
+// with a text line other than a transient refusal: it does not speak the
+// frame codec, so retrying cannot help. Line is its answer.
+type HandshakeRefusedError struct{ Line string }
+
+func (e *HandshakeRefusedError) Error() string {
+	return fmt.Sprintf("kvclient: peer refused the binary handshake: %q", e.Line)
+}
+
 // handshake negotiates the binary protocol on a fresh connection. The server
-// answers the 5-byte handshake in kind; a text ERR line instead means either
-// a transient refusal (recovering, connection limit — sent before the server
-// reads the first byte; retry) or a text-only peer that parsed the handshake
-// as one garbage line (downgrade to text permanently and keep using this
-// connection — the garbage line has been consumed and answered, so the
-// stream is clean).
+// answers the 5-byte handshake in kind; a text ERR line instead is either a
+// transient refusal (recovering, connection limit — sent before the server
+// reads the first byte; retry) or a peer that is not a craftykv binary
+// endpoint, which fails typed and is not retried.
 func (c *Client) handshake() error {
 	c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 	hs := wire.AppendHandshake(nil, wire.Version)
@@ -240,7 +241,7 @@ func (c *Client) handshake() error {
 		if _, err := wire.ParseHandshake(ack[:]); err != nil {
 			return c.lost(err)
 		}
-		c.enc, c.dec, c.bin = wire.NewEncoder(c.w), wire.NewReader(c.r, 0), true
+		c.enc, c.dec = wire.NewEncoder(c.w), wire.NewReader(c.r, 0)
 		return nil
 	}
 	line, err := c.r.ReadString('\n')
@@ -251,8 +252,8 @@ func (c *Client) handshake() error {
 	if errRecovering(strings.TrimPrefix(line, "ERR ")) || strings.HasPrefix(line, "ERR too many connections") {
 		return c.lost(fmt.Errorf("server refused connection: %s", line))
 	}
-	c.textOnly = true
-	return nil
+	c.Close()
+	return &HandshakeRefusedError{Line: line}
 }
 
 // lost drops the connection a failure happened on mid-round-trip; the failure

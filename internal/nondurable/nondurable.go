@@ -101,7 +101,7 @@ func (e *Engine) Close() error { return nil }
 func (e *Engine) Register() ptm.Thread {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t := &Thread{eng: e, hw: e.hw.NewThread(int64(len(e.threads)))}
+	t := &Thread{eng: e, hw: e.hw.NewThread(int64(len(e.threads))), ro: ptm.ROTx{Heap: e.heap}}
 	if e.arena != nil {
 		// The hardware thread's flusher fences the arena's block-header
 		// flushes at HTM commits; the engine itself persists nothing.
@@ -253,10 +253,8 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 	}
 
 	// Single-global-lock fallback.
-	for !t.eng.hw.NonTxCAS(t.eng.sglAddr, 0, 1) {
-	}
-	t.eng.hw.QuiesceCommitters()
-	defer t.eng.hw.NonTxStore(t.eng.sglAddr, 0)
+	t.eng.hw.AcquireSGL(t.eng.sglAddr)
+	defer t.eng.hw.ReleaseSGL(t.eng.sglAddr)
 	x := &sglTx{th: t}
 	if err := body(x); err != nil {
 		return t.abandon(err)
@@ -265,47 +263,11 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 	return t.commit(x.writes, ptm.OutcomeSGL)
 }
 
-// AtomicRead implements ptm.Thread: the body runs in one hardware
-// transaction with a read-only adapter (mutations fail with
-// ptm.ErrReadOnlyTx), skipping the allocation scope entirely; after repeated
-// aborts it runs under the single global lock against the heap directly.
-func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) (err error) {
-	defer ptm.CatchReadOnly(&err)
-	for attempt := 0; attempt <= t.eng.cfg.MaxRetries; attempt++ {
-		var userErr error
-		cause := t.hw.Run(func(hwtx *htm.Tx) {
-			if hwtx.Load(t.eng.sglAddr) != 0 {
-				hwtx.Abort()
-			}
-			t.ro.Inner = hwtx
-			if berr := body(&t.ro); berr != nil {
-				userErr = berr
-				hwtx.Abort()
-			}
-		})
-		if userErr != nil {
-			t.userAborts++
-			return fmt.Errorf("%w: %w", ptm.ErrAborted, userErr)
-		}
-		if cause == htm.CauseNone {
-			t.outcomes[ptm.OutcomeReadOnly]++
-			return nil
-		}
-	}
-
-	// Single-global-lock fallback: with speculative transactions excluded
-	// and in-flight commits quiesced, direct heap reads are consistent.
-	for !t.eng.hw.NonTxCAS(t.eng.sglAddr, 0, 1) {
-	}
-	t.eng.hw.QuiesceCommitters()
-	defer t.eng.hw.NonTxStore(t.eng.sglAddr, 0)
-	t.ro.Inner = t.eng.heap
-	if berr := body(&t.ro); berr != nil {
-		t.userAborts++
-		return fmt.Errorf("%w: %w", ptm.ErrAborted, berr)
-	}
-	t.outcomes[ptm.OutcomeSGL]++
-	return nil
+// AtomicRead implements ptm.Thread: the body runs in the shared lock-eliding
+// loop (ptm.ROTx.ReadElided), skipping the allocation scope entirely.
+func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) error {
+	way, _, err := t.ro.ReadElided(t.hw, t.eng.sglAddr, t.eng.cfg.MaxRetries, body)
+	return ptm.NoteRead(&t.outcomes, &t.userAborts, way, err)
 }
 
 func (t *Thread) commit(writes int, outcome ptm.Outcome) error {

@@ -229,6 +229,7 @@ func (e *Engine) Register() ptm.Thread {
 		hw:      e.hw.NewThread(int64(id)),
 		logBase: logBase,
 		logCap:  e.cfg.LogWords,
+		ro:      ptm.ROTx{Heap: e.heap},
 	}
 	t.flusher = t.hw.Flusher()
 	if e.arena != nil {

@@ -157,48 +157,12 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 // AtomicRead implements ptm.Thread. Read-only transactions need none of the
 // redo-log machinery — no log records, no persist barriers, no
 // timestamp-ordered close, no hand-off to the background checkpointer — so
-// the body runs in one hardware transaction with a read-only adapter
-// (mutations fail with ptm.ErrReadOnlyTx) and commits at HTM cost; after
-// repeated aborts it runs under the single global lock against the heap
-// directly. This applies to NV-HTM and DudeTM alike: even DudeTM's
+// the body runs in the shared lock-eliding loop (ptm.ROTx.ReadElided) and
+// commits at HTM cost. This applies to NV-HTM and DudeTM alike: even DudeTM's
 // contended global clock is only touched by writers.
-func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) (err error) {
-	defer ptm.CatchReadOnly(&err)
-	for attempt := 0; attempt <= t.eng.cfg.MaxRetries; attempt++ {
-		var userErr error
-		cause := t.hw.Run(func(hwtx *htm.Tx) {
-			if hwtx.Load(t.eng.sglAddr) != 0 {
-				hwtx.Abort()
-			}
-			t.ro.Inner = hwtx
-			if berr := body(&t.ro); berr != nil {
-				userErr = berr
-				hwtx.Abort()
-			}
-		})
-		if userErr != nil {
-			t.userAborts++
-			return fmt.Errorf("%w: %w", ptm.ErrAborted, userErr)
-		}
-		if cause == htm.CauseNone {
-			t.outcomes[ptm.OutcomeReadOnly]++
-			return nil
-		}
-	}
-
-	// Single-global-lock fallback: with speculative transactions excluded
-	// and in-flight commits quiesced, direct heap reads are consistent.
-	for !t.eng.hw.NonTxCAS(t.eng.sglAddr, 0, 1) {
-	}
-	t.eng.hw.QuiesceCommitters()
-	defer t.eng.hw.NonTxStore(t.eng.sglAddr, 0)
-	t.ro.Inner = t.eng.heap
-	if berr := body(&t.ro); berr != nil {
-		t.userAborts++
-		return fmt.Errorf("%w: %w", ptm.ErrAborted, berr)
-	}
-	t.outcomes[ptm.OutcomeSGL]++
-	return nil
+func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) error {
+	way, _, err := t.ro.ReadElided(t.hw, t.eng.sglAddr, t.eng.cfg.MaxRetries, body)
+	return ptm.NoteRead(&t.outcomes, &t.userAborts, way, err)
 }
 
 // persistAndClose writes and persists the transaction's redo log, waits for
@@ -247,10 +211,8 @@ func (t *Thread) persistAndClose(commitTS uint64, outcome ptm.Outcome) {
 
 // runSGL is the single-global-lock fallback.
 func (t *Thread) runSGL(body func(tx ptm.Tx) error) error {
-	for !t.eng.hw.NonTxCAS(t.eng.sglAddr, 0, 1) {
-	}
-	t.eng.hw.QuiesceCommitters()
-	defer t.eng.hw.NonTxStore(t.eng.sglAddr, 0)
+	t.eng.hw.AcquireSGL(t.eng.sglAddr)
+	defer t.eng.hw.ReleaseSGL(t.eng.sglAddr)
 	if t.txAlloc != nil {
 		t.txAlloc.BeginReplay()
 	}

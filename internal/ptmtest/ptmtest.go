@@ -8,7 +8,9 @@ package ptmtest
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crafty/internal/nvm"
@@ -34,6 +36,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("AtomicReadRejectsMutation", func(t *testing.T) { testAtomicReadRejectsMutation(t, factory) })
 	t.Run("AtomicReadAbort", func(t *testing.T) { testAtomicReadAbort(t, factory) })
 	t.Run("AtomicReadSnapshotIsolation", func(t *testing.T) { testAtomicReadSnapshotIsolation(t, factory) })
+	t.Run("AtomicReadUnderLockFallback", func(t *testing.T) { testAtomicReadUnderLockFallback(t, factory) })
 	t.Run("WriteBudgetHonored", func(t *testing.T) { testWriteBudget(t, factory) })
 	t.Run("OversizedTxRejectedTyped", func(t *testing.T) { testOversizedTx(t, factory) })
 }
@@ -412,6 +415,113 @@ func testAtomicReadSnapshotIsolation(t *testing.T, factory Factory) {
 	}
 	if got := heap.Load(x); got != heap.Load(y) {
 		t.Fatalf("final state torn: x=%d y=%d", got, heap.Load(y))
+	}
+}
+
+// testAtomicReadUnderLockFallback runs readers against a writer that cannot
+// commit in hardware: each write transaction dirties more cache lines than
+// the emulated HTM's write capacity (512), so on the lock-eliding engines it
+// exhausts its retries and completes under the single global lock, over and
+// over, while read-only transactions check the lock word, abort on it, wait
+// for it, and retry. One wide reader does the same from the read side: its
+// read set exceeds the read capacity (8192 lines), so every one of its reads
+// ends on the locked direct-read arm. On the lock-based engines the same
+// bodies exercise the shared/exclusive lock. Every snapshot must be
+// consistent (the writer keeps all its words equal), no read may fail, and
+// each reader's ReadOnly + SGL outcomes must equal the reads it issued.
+func testAtomicReadUnderLockFallback(t *testing.T, factory Factory) {
+	eng, heap := build(t, factory)
+	const (
+		writeLines = 520  // > htm.Config.MaxWriteLines default
+		wideLines  = 8200 // > htm.Config.MaxReadLines default
+		writes     = 16
+		minReads   = 40
+		wideReads  = 3
+	)
+	// The writer's lines are the head of the wide reader's region; the rest
+	// is never written and reads as zero.
+	base := heap.MustCarve(wideLines * nvm.WordsPerLine)
+	word := func(line int) nvm.Addr { return base + nvm.Addr(line*nvm.WordsPerLine) }
+
+	var wg sync.WaitGroup
+	var writerDone atomic.Bool
+	start := make(chan struct{})
+	errs := make([]error, 4)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer writerDone.Store(true)
+		th := eng.Register()
+		<-start
+		for i := 0; i < writes; i++ {
+			if err := th.Atomic(func(tx ptm.Tx) error {
+				v := tx.Load(word(0)) + 1
+				for l := 0; l < writeLines; l++ {
+					tx.Store(word(l), v)
+				}
+				return nil
+			}); err != nil {
+				errs[0] = err
+				return
+			}
+		}
+	}()
+	// reader issues at least n reads of the first lines lines, and keeps
+	// going while the writer runs when untilWriterDone is set.
+	reader := func(g, n, lines int, untilWriterDone bool) {
+		defer wg.Done()
+		th := eng.Register()
+		<-start
+		prev, issued := uint64(0), 0
+		for ; issued < n || (untilWriterDone && !writerDone.Load()); issued++ {
+			var first, torn uint64
+			if err := th.AtomicRead(func(tx ptm.Tx) error {
+				first, torn = tx.Load(word(0)), 0
+				for l := 1; l < lines; l++ {
+					if v := tx.Load(word(l)); l < writeLines && v != first {
+						torn = v
+					}
+				}
+				return nil
+			}); err != nil {
+				errs[g] = fmt.Errorf("read %d: %w", issued, err)
+				return
+			}
+			if torn != 0 {
+				errs[g] = fmt.Errorf("torn snapshot: line 0 = %d, another line = %d", first, torn)
+				return
+			}
+			if first < prev {
+				errs[g] = fmt.Errorf("counter went backwards: %d after %d", first, prev)
+				return
+			}
+			prev = first
+			runtime.Gosched()
+		}
+		st := th.Stats()
+		ro, sgl := st.Persistent[ptm.OutcomeReadOnly], st.Persistent[ptm.OutcomeSGL]
+		if ro+sgl != uint64(issued) {
+			errs[g] = fmt.Errorf("ReadOnly %d + SGL %d outcomes, want %d reads", ro, sgl, issued)
+		}
+		// A thread that ran hardware transactions at all cannot have fit a
+		// wide read in one: each must have ended under the lock.
+		if lines == wideLines && st.HTM.Total() > 0 && sgl != uint64(issued) {
+			errs[g] = fmt.Errorf("wide reads: %d of %d ended under the lock", sgl, issued)
+		}
+	}
+	wg.Add(3)
+	go reader(1, minReads, writeLines, true)
+	go reader(2, minReads, writeLines, true)
+	go reader(3, wideReads, wideLines, false)
+	close(start)
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+	if got := heap.Load(word(0)); got != writes {
+		t.Fatalf("line 0 = %d after %d write transactions", got, writes)
 	}
 }
 

@@ -101,6 +101,7 @@ func (e *Engine) Register() ptm.Thread {
 		flusher: e.heap.NewFlusher(),
 		logBase: e.heap.MustCarve(e.cfg.LogWords),
 		logCap:  e.cfg.LogWords,
+		ro:      ptm.ROTx{Heap: e.heap},
 		buffer:  make(map[nvm.Addr]uint64, 32),
 	}
 	if e.arena != nil {
@@ -259,15 +260,8 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 // exclude writers — and skip the write buffer entirely: with no buffered
 // writes there is nothing for reads to look up, nothing to persist, and
 // nothing to apply.
-func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) (err error) {
+func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) error {
 	t.eng.lock.RLock()
 	defer t.eng.lock.RUnlock()
-	defer ptm.CatchReadOnly(&err)
-	t.ro.Inner = t.eng.heap
-	if berr := body(&t.ro); berr != nil {
-		t.userAborts++
-		return fmt.Errorf("%w: %w", ptm.ErrAborted, berr)
-	}
-	t.outcomes[ptm.OutcomeReadOnly]++
-	return nil
+	return ptm.NoteRead(&t.outcomes, &t.userAborts, ptm.OutcomeReadOnly, t.ro.ReadDirect(body))
 }

@@ -102,6 +102,7 @@ func (e *Engine) Register() ptm.Thread {
 		flusher: e.heap.NewFlusher(),
 		logBase: e.heap.MustCarve(e.cfg.LogWords),
 		logCap:  e.cfg.LogWords,
+		ro:      ptm.ROTx{Heap: e.heap},
 	}
 	if e.arena != nil {
 		t.txAlloc = alloc.NewTxLog(e.arena, t.flusher)
@@ -254,15 +255,8 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 // exclude writers — and touch neither the undo log nor the persist path:
 // there is nothing to log, flush, or drain for a body that publishes
 // nothing.
-func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) (err error) {
+func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) error {
 	t.eng.lock.RLock()
 	defer t.eng.lock.RUnlock()
-	defer ptm.CatchReadOnly(&err)
-	t.ro.Inner = t.eng.heap
-	if berr := body(&t.ro); berr != nil {
-		t.userAborts++
-		return fmt.Errorf("%w: %w", ptm.ErrAborted, berr)
-	}
-	t.outcomes[ptm.OutcomeReadOnly]++
-	return nil
+	return ptm.NoteRead(&t.outcomes, &t.userAborts, ptm.OutcomeReadOnly, t.ro.ReadDirect(body))
 }
