@@ -249,6 +249,26 @@ func TestBodyPanicsPropagate(t *testing.T) {
 	th.Run(func(tx *Tx) { panic("boom") })
 }
 
+// TestFaultInDoomedAttemptAborts: a body that panics after a line it read was
+// republished has observed volatile state ahead of its snapshot at worst and
+// could not have committed at best; Run reports a conflict, and the panic
+// surfaces only from an attempt whose snapshot still holds.
+func TestFaultInDoomedAttemptAborts(t *testing.T) {
+	e := newEngine(t, 1024, Config{})
+	reader, writer := e.NewThread(1), e.NewThread(2)
+	cause := reader.Run(func(tx *Tx) {
+		tx.Load(8)
+		runUntilCommit(t, writer, func(tx *Tx) { tx.Store(8, 1) })
+		panic("side table disagrees with the snapshot")
+	})
+	if cause != CauseConflict {
+		t.Fatalf("fault in a doomed attempt returned %v, want %v", cause, CauseConflict)
+	}
+	if got := reader.Stats().Aborts[CauseConflict]; got != 1 {
+		t.Fatalf("conflict aborts = %d, want 1", got)
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	e := newEngine(t, 1024, Config{})
 	th := e.NewThread(1)

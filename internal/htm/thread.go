@@ -121,11 +121,22 @@ func (t *Thread) Run(body func(tx *Tx)) (cause AbortCause) {
 
 	tx := &t.tx
 	tx.reset(t)
+	inBody := true
 	defer func() {
 		if r := recover(); r != nil {
 			ab, ok := r.(htmAbort)
 			if !ok {
-				panic(r) // programming error inside the body; do not swallow
+				if !inBody || tx.snapshotValid() {
+					panic(r) // programming error; do not swallow
+				}
+				// The body faulted in an attempt that was already doomed: a
+				// line it read has been republished. Opacity covers the heap
+				// only, so a body that consults volatile state beside it (the
+				// allocator's block map) can find that state ahead of its
+				// snapshot and fault on the disagreement. RTM aborts a
+				// transaction that faults; a genuine bug faults again on the
+				// retry, from a valid snapshot.
+				ab = htmAbort{cause: CauseConflict}
 			}
 			cause = ab.cause
 			t.aborts[ab.cause].Add(1)
@@ -139,6 +150,7 @@ func (t *Thread) Run(body func(tx *Tx)) (cause AbortCause) {
 	}
 
 	body(tx)
+	inBody = false
 	tx.commit()
 	t.commits.Add(1)
 	if tx.writes.size() == 0 && len(tx.deferred) == 0 {

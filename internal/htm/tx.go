@@ -141,6 +141,18 @@ func (tx *Tx) Load(addr nvm.Addr) uint64 {
 	return val
 }
 
+// snapshotValid reports whether every line the attempt has read is still
+// unlocked and no newer than its snapshot, that is, whether the attempt could
+// still commit.
+func (tx *Tx) snapshotValid() bool {
+	for _, line := range tx.readLines.dense {
+		if cur := tx.eng.lineLock(line).Load(); isLocked(cur) || versionOf(cur) > tx.readVersion {
+			return false
+		}
+	}
+	return true
+}
+
 // Store buffers a write of val to the word at addr. The write becomes visible
 // to other threads, atomically with the transaction's other writes, only if
 // the attempt commits.
@@ -252,9 +264,7 @@ func (tx *Tx) commit() {
 	}
 
 	// Publish the writes and stamp the written lines with a fresh version.
-	for i, addr := range tx.writes.addrs {
-		tx.eng.heap.Store(addr, tx.writes.vals[i])
-	}
+	tx.eng.heap.StoreAll(tx.writes.addrs, tx.writes.vals)
 	for _, d := range tx.deferred {
 		tx.eng.heap.Store(d.addr, writeVersion<<d.shift|d.or)
 	}

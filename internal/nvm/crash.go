@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -66,16 +67,26 @@ func (h *Heap) Crash(policy CrashPolicy) {
 	h.crashes.Add(1)
 	h.crashMu.Lock()
 	defer h.crashMu.Unlock()
-	for w := range h.state {
-		addr := Addr(w)
-		if addr == NilAddr {
+	// Lines and, within a line, words are visited in ascending address order,
+	// and the policy is asked about exactly the marked words: a seeded
+	// RandomPolicy's answers land on the same words whatever the heap's
+	// bookkeeping looks like. An unmarked word's visible value already equals
+	// its media value, so a line with an empty mask has nothing to resolve
+	// and nothing to reset.
+	for line := range h.dirty {
+		mask := h.dirty[line].Load()
+		if mask == 0 {
 			continue
 		}
-		if h.state[w].Load() != wordClean && policy.Persist(addr) {
-			h.media[w].Store(h.visible[addr].Load())
+		h.dirty[line].Store(0)
+		for ; mask != 0; mask &= mask - 1 {
+			w := line*WordsPerLine + bits.TrailingZeros32(mask)
+			if policy.Persist(Addr(w)) {
+				h.media[w].Store(h.visible[w].Load())
+			} else {
+				h.visible[w].Store(h.media[w].Load())
+			}
 		}
-		h.state[w].Store(wordClean)
-		h.visible[addr].Store(h.media[w].Load())
 	}
 }
 

@@ -8,11 +8,13 @@ package nvm
 // use; each worker thread owns one.
 type Flusher struct {
 	heap *Heap
-	// pending holds the addresses flushed since the last drain/fence; only
-	// used when persistence tracking is enabled. It is a reused slice rather
-	// than a set: a word flushed twice before the fence appears twice, and
-	// complete() is idempotent per word.
-	pending []Addr
+	// pending holds one record per line flushed since the last drain/fence
+	// that had a marked word at the time: the line index shifted left by
+	// WordsPerLine, or'd with the line's dirty mask as of the flush. Only used
+	// when persistence tracking is enabled. It is a reused slice rather than
+	// a set: a line flushed twice before the fence appears twice, and
+	// completing a word twice is harmless.
+	pending []uint64
 }
 
 // NewFlusher returns a flush/drain handle for one thread.
@@ -30,23 +32,12 @@ func (f *Flusher) Flush(addr Addr) {
 	if !h.cfg.TrackPersistence {
 		return
 	}
-	base := LineBase(addr)
-	for w := base; w < base+WordsPerLine && int(w) < len(h.visible); w++ {
-		if w == NilAddr {
-			continue
-		}
-		s := h.state[w].Load()
-		if s == wordClean {
-			continue
-		}
-		if s == wordDirty {
-			// Losing this CAS is benign: the word either became in-flight
-			// through another flusher (we still adopt it below, so our own
-			// fence completes it) or was re-dirtied/cleaned, which the
-			// complete-side CAS resolves conservatively.
-			h.state[w].CompareAndSwap(wordDirty, wordInFlight)
-		}
-		f.pending = append(f.pending, w)
+	// The words this Flusher's next fence must find in media are the ones
+	// marked now. A word stored after this load is not the flush's to
+	// complete (the fence may still absorb its value; see Heap.completeLine).
+	line := LineOf(addr)
+	if mask := h.dirty[line].Load(); mask != 0 {
+		f.pending = append(f.pending, line<<WordsPerLine|uint64(mask))
 	}
 }
 
@@ -58,7 +49,9 @@ func (f *Flusher) FlushRange(addr Addr, words int) {
 	first := LineOf(addr)
 	last := LineOf(addr + Addr(words) - 1)
 	for line := first; line <= last; line++ {
-		f.Flush(Addr(line * WordsPerLine))
+		// Name each line by its base, but the first by addr itself: line 0's
+		// base is NilAddr, which Flush rejects.
+		f.Flush(max(addr, Addr(line*WordsPerLine)))
 	}
 }
 
@@ -88,20 +81,11 @@ func (f *Flusher) Persist(addr Addr, words int) {
 }
 
 // complete applies every pending flush to the media image; see
-// Heap.completeWord for the claim-then-write protocol and its memory-ordering
+// Heap.completeLine for the claim-then-write protocol and its memory-ordering
 // argument.
 func (f *Flusher) complete() {
-	h := f.heap
-	if !h.cfg.TrackPersistence || len(f.pending) == 0 {
-		return
-	}
-	for _, w := range f.pending {
-		h.completeWord(w)
+	for _, p := range f.pending {
+		f.heap.completeLine(p>>WordsPerLine, uint32(p&(1<<WordsPerLine-1)))
 	}
 	f.pending = f.pending[:0]
 }
-
-// PendingFlushes reports how many flushed-but-not-yet-fenced words this
-// Flusher is tracking (counting a word once per flush). It is only
-// meaningful when persistence tracking is enabled and is exposed for tests.
-func (f *Flusher) PendingFlushes() int { return len(f.pending) }

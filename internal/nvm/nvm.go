@@ -9,16 +9,19 @@
 // On top of that timing model, this package optionally tracks *which* words
 // have actually reached the persistence domain, so that crashes can be
 // injected and a recovery observer can inspect the surviving "media" image.
-// The tracked model distinguishes three per-word states:
+// The tracked model keeps one bit per word, packed into one mask per cache
+// line, as the hardware it emulates writes back lines:
 //
-//   - clean:    the media image equals the visible (cached) value.
-//   - dirty:    the word was stored but not flushed; on a crash it may or may
-//     not have been evicted to media.
-//   - in-flight: the word was flushed (CLWB issued) but the flush has not yet
-//     been fenced; on a crash it may or may not have completed.
+//   - clear: the media image equals the visible (cached) value.
+//   - set:   the word was stored and is not known to be in media, whether or
+//     not a flush of its line is outstanding; on a crash it may or may not
+//     have been evicted or written back.
 //
-// A Flush followed by a Drain or Fence on the same Flusher guarantees the
-// word is in media (persisted). Everything else is up to the CrashPolicy,
+// A Flush followed by a Drain or Fence on the same Flusher guarantees that
+// every word of the line that was set at the flush is in media (persisted);
+// which words those were is the Flusher's knowledge, not the heap's, so a
+// flushed-but-unfenced word needs no state of its own: a crash treats it
+// like any other set word. Everything else is up to the CrashPolicy,
 // which lets tests act as an adversarial recovery observer, including tearing
 // multi-word log entries (persistence is guaranteed only at word
 // granularity, exactly as the paper assumes in Section 5.2).
@@ -30,6 +33,7 @@ package nvm
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,6 +54,9 @@ const WordsPerLine = 8
 // LineOf returns the cache-line index containing addr.
 func LineOf(addr Addr) uint64 { return uint64(addr) / WordsPerLine }
 
+// wordBit returns addr's bit in its cache line's dirty mask.
+func wordBit(addr Addr) uint32 { return 1 << (addr % WordsPerLine) }
+
 // LineBase returns the first word address of the cache line containing addr.
 func LineBase(addr Addr) Addr { return Addr(LineOf(addr) * WordsPerLine) }
 
@@ -68,32 +75,14 @@ type Config struct {
 	// (useful in unit tests).
 	PersistLatency time.Duration
 
-	// TrackPersistence enables the media image and per-word persistence
-	// state needed for crash injection and recovery testing. It adds
+	// TrackPersistence enables the media image and the per-line dirty masks
+	// needed for crash injection and recovery testing. It adds
 	// bookkeeping overhead, so throughput experiments leave it off.
 	TrackPersistence bool
 }
 
 // NoLatency disables the drain busy-wait when used as Config.PersistLatency.
 const NoLatency = time.Duration(-1)
-
-// wordState values for the tracked persistence model.
-//
-// Per-word state lives in an atomic and the Store path is maintained
-// lock-free so that tracked heaps scale with thread count (the paper's
-// experiments run up to 16 workers; a global mutex on every Store made
-// TrackPersistence a scalability cliff). The transitions are:
-//
-//	Store:       any -> dirty            (plain atomic store, no lock)
-//	Flush:       dirty -> inFlight       (CAS; a lost race is benign, see
-//	                                      Flusher.Flush)
-//	Drain/Fence: non-clean -> clean      (claim-then-write under a sharded
-//	                                      lock; see Heap.completeWord)
-const (
-	wordClean    uint32 = iota // media == visible
-	wordDirty                  // stored, not flushed
-	wordInFlight               // flushed, not yet fenced
-)
 
 // numPersistShards is the number of locks media updates are sharded over
 // (indexed by cache line). Power of two.
@@ -111,15 +100,17 @@ type Heap struct {
 
 	visible []atomic.Uint64
 
-	// Persistence tracking (only when cfg.TrackPersistence). The Store path
-	// touches state lock-free (see the wordState documentation); media
-	// updates at drain/fence time serialize per cache line through
-	// persistShards, and crashMu serializes whole-image operations — Crash,
+	// Persistence tracking (only when cfg.TrackPersistence). dirty holds one
+	// mask per cache line: bit k set means word k of the line is not known to
+	// be in media. Store sets a bit lock-free, after the visible word is in
+	// place; a fence clears the bits its flush saw and copies those words to
+	// media, serialized per cache line through persistShards (see
+	// completeLine). crashMu serializes whole-image operations — Crash,
 	// MediaSnapshot — against each other.
 	crashMu       sync.Mutex
 	persistShards [numPersistShards]sync.Mutex
 	media         []atomic.Uint64
-	state         []atomic.Uint32
+	dirty         []atomic.Uint32
 
 	// Region carving.
 	carveMu   sync.Mutex
@@ -154,7 +145,7 @@ func NewHeap(cfg Config) *Heap {
 	}
 	if cfg.TrackPersistence {
 		h.media = make([]atomic.Uint64, cfg.Words)
-		h.state = make([]atomic.Uint32, cfg.Words)
+		h.dirty = make([]atomic.Uint32, (cfg.Words+WordsPerLine-1)/WordsPerLine)
 	}
 	return h
 }
@@ -170,11 +161,23 @@ func (h *Heap) PersistLatency() time.Duration { return h.latency }
 func (h *Heap) Tracking() bool { return h.cfg.TrackPersistence }
 
 // check panics on out-of-range or nil addresses; all callers in this module
-// compute addresses from carved regions, so a bad address is a bug.
+// compute addresses from carved regions, so a bad address is a bug. The panic
+// value formats itself only when printed: a fmt call here would put check —
+// and with it Load, which runs ≈ 23 times per GET — over the inliner's budget.
 func (h *Heap) check(addr Addr) {
 	if addr == NilAddr || int(addr) >= len(h.visible) {
-		panic(fmt.Sprintf("nvm: address %d out of range [1, %d)", addr, len(h.visible)))
+		panic(addrError{addr, len(h.visible)})
 	}
+}
+
+// addrError is the panic value of a failed check.
+type addrError struct {
+	addr  Addr
+	words int
+}
+
+func (e addrError) Error() string {
+	return fmt.Sprintf("nvm: address %d out of range [1, %d)", e.addr, e.words)
 }
 
 // Load returns the visible value of the word at addr.
@@ -191,10 +194,49 @@ func (h *Heap) Store(addr Addr, val uint64) {
 	h.visible[addr].Store(val)
 	if h.cfg.TrackPersistence {
 		// Order matters: the visible value must be in place before the word
-		// is marked dirty, so a concurrent fence completing an older flush of
-		// this word either sees the dirty mark (and leaves the word
-		// unpersisted) or read the new value into media.
-		h.state[addr].Store(wordDirty)
+		// is marked, so a concurrent fence completing an older flush of this
+		// line either cleared the mark before it was set (and the word stays
+		// marked, unpersisted as far as anyone may assume) or clears it and
+		// then reads the new value into media.
+		h.mark(LineOf(addr), wordBit(addr))
+	}
+}
+
+// mark records that the words of line named by mask are not known to be in
+// media. No caller can name word 0 or a word past the heap's end (check
+// rejects both), so those bits are never set and nothing below completes or
+// resurrects them.
+func (h *Heap) mark(line uint64, mask uint32) {
+	h.dirty[line].Or(mask)
+}
+
+// StoreAll stores vals[i] to addrs[i] for every i, in order, as a committing
+// hardware transaction publishes its write set. It is Store in a loop except
+// that consecutive words of one cache line are marked once, after the last
+// of them is visible, rather than once each: the mark may trail the visible
+// word by any amount (see Store), and a write set is mostly such runs.
+func (h *Heap) StoreAll(addrs []Addr, vals []uint64) {
+	if !h.cfg.TrackPersistence {
+		for i, addr := range addrs {
+			h.Store(addr, vals[i])
+		}
+		return
+	}
+	var line uint64
+	var mask uint32
+	for i, addr := range addrs {
+		h.check(addr)
+		if l := LineOf(addr); l != line {
+			if mask != 0 {
+				h.mark(line, mask)
+			}
+			line, mask = l, 0
+		}
+		h.visible[addr].Store(vals[i])
+		mask |= wordBit(addr)
+	}
+	if mask != 0 {
+		h.mark(line, mask)
 	}
 }
 
@@ -205,7 +247,7 @@ func (h *Heap) CompareAndSwap(addr Addr, old, new uint64) bool {
 	h.check(addr)
 	ok := h.visible[addr].CompareAndSwap(old, new)
 	if ok && h.cfg.TrackPersistence {
-		h.state[addr].Store(wordDirty)
+		h.mark(LineOf(addr), wordBit(addr))
 	}
 	return ok
 }
@@ -252,39 +294,33 @@ func (h *Heap) CarvedWords() int {
 	return int(h.nextCarve)
 }
 
-// completeWord makes one flushed word durable: it moves the word to clean and
-// writes its current visible value to the media image, emulating the cache
-// line's write-back completing at the fence — which absorbs stores issued
-// after the flush, exactly as a real write-back carries whatever the line
-// holds when it drains.
+// completeLine makes one flushed line durable: of the words that were marked
+// when the line was flushed (mask), it clears those still marked and writes
+// their current visible values to the media image, emulating the line's
+// write-back completing at the fence — which absorbs stores issued after the
+// flush, exactly as a real write-back carries whatever the line holds when it
+// drains. A word of mask found already clear was persisted by another
+// completer with a value at least as new as the flush-time one.
 //
-// The protocol is claim-then-write: the state transition to clean is claimed
-// by CAS *before* the media word is written, so the visible read is ordered
-// after every store whose dirty mark preceded the transition. (Writing media
-// first would be racy: a store between the visible read and the transition
-// would leave the word clean with a stale media value.) A store landing
-// between the claim and the media write re-dirties the word, which is the
-// conservative outcome. Claiming loops rather than giving up on a re-dirtied
-// word because the caller's fence must guarantee that the value it flushed —
-// or a newer one — is durable.
+// The protocol is claim-then-write: the marks are cleared, in one atomic And,
+// *before* the media words are written, so each visible read is ordered
+// after every store whose mark preceded the clear. (Writing media first would
+// be racy: a store between the visible read and the clear would leave the
+// word unmarked with a stale media value.) A store landing between the claim
+// and the media write re-marks the word, which is the conservative outcome.
 //
 // The sharded lock serializes completers per cache line: without it, a
 // slower completer could write an older visible value into media after a
-// faster one already claimed clean. Store and Flush take no locks.
-func (h *Heap) completeWord(w Addr) {
-	sh := &h.persistShards[LineOf(w)&(numPersistShards-1)]
+// faster one already claimed a newer store's mark. Store and Flush take no
+// locks.
+func (h *Heap) completeLine(line uint64, mask uint32) {
+	sh := &h.persistShards[line&(numPersistShards-1)]
 	sh.Lock()
-	for {
-		s := h.state[w].Load()
-		if s == wordClean {
-			// Another completer (same shard lock) already persisted a value
-			// at least as new as our flush-time value.
-			break
-		}
-		if h.state[w].CompareAndSwap(s, wordClean) {
-			h.media[w].Store(h.visible[w].Load())
-			break
-		}
+	claimed := h.dirty[line].And(^mask) & mask
+	base := line * WordsPerLine
+	for ; claimed != 0; claimed &= claimed - 1 {
+		w := base + uint64(bits.TrailingZeros32(claimed))
+		h.media[w].Store(h.visible[w].Load())
 	}
 	sh.Unlock()
 }

@@ -169,6 +169,82 @@ func TestFenceOnlyCompletesOwnFlushes(t *testing.T) {
 	}
 }
 
+func TestFenceCompletesOnlyWordsMarkedAtFlush(t *testing.T) {
+	h := newTrackedHeap(t, 256)
+	f := h.NewFlusher()
+	h.Store(9, 77)
+	f.Flush(9)
+	h.Store(10, 88) // same cache line, stored after the write-back was issued
+	f.Fence()
+	h.Crash(PersistNone{})
+	if got := h.Load(9); got != 77 {
+		t.Fatalf("word marked at the flush lost: got %d, want 77", got)
+	}
+	if got := h.Load(10); got != 0 {
+		t.Fatalf("word stored after the flush persisted by its line's fence: %d", got)
+	}
+}
+
+// TestPartialLastLine covers a heap whose size is not a whole number of
+// lines: the last line's mask exists, its words persist and vanish like any
+// others, and nothing reaches past the end of the heap.
+func TestPartialLastLine(t *testing.T) {
+	const words = 20 // lines 0 and 1 whole, line 2 holds words 16..19
+	store := func(h *Heap, scale uint64) {
+		for a := Addr(1); a < words; a++ {
+			h.Store(a, uint64(a)*scale)
+		}
+	}
+	expect := func(h *Heap, what string, want func(Addr) uint64) {
+		t.Helper()
+		for a := Addr(1); a < words; a++ {
+			if got := h.Load(a); got != want(a) {
+				t.Fatalf("%s: word %d = %d, want %d", what, a, got, want(a))
+			}
+		}
+	}
+	h := newTrackedHeap(t, words)
+	f := h.NewFlusher()
+
+	store(h, 3)
+	f.FlushRange(1, words-1) // from line 0's first usable word through the partial line
+	f.Drain()
+	h.Crash(PersistNone{})
+	expect(h, "flushed and drained", func(a Addr) uint64 { return uint64(a) * 3 })
+
+	store(h, 5)
+	h.Crash(PersistNone{})
+	expect(h, "unflushed under PersistNone", func(a Addr) uint64 { return uint64(a) * 3 })
+
+	store(h, 7)
+	h.Crash(PersistAll{})
+	expect(h, "unflushed under PersistAll", func(a Addr) uint64 { return uint64(a) * 7 })
+	if got := h.MediaSnapshot(); len(got) != words || got[0] != 0 {
+		t.Fatalf("media image has %d words with word 0 = %d, want %d and 0", len(got), got[0], words)
+	}
+}
+
+// TestTrackedPersistCycleDoesNotAllocate pins the steady-state tracked persist
+// cycle — a line's worth of stores, a flush, a fence — at zero allocations:
+// the flusher's pending slice is reused from fence to fence.
+func TestTrackedPersistCycleDoesNotAllocate(t *testing.T) {
+	h := newTrackedHeap(t, 256)
+	f := h.NewFlusher()
+	base := Addr(WordsPerLine)
+	i := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		for w := Addr(0); w < WordsPerLine; w++ {
+			h.Store(base+w, i)
+		}
+		f.Flush(base)
+		f.Fence()
+	})
+	if allocs != 0 {
+		t.Fatalf("store x8 + flush + fence allocates %v times per cycle, want 0", allocs)
+	}
+}
+
 func TestCrashPersistAllKeepsEverything(t *testing.T) {
 	h := newTrackedHeap(t, 256)
 	for addr := Addr(8); addr < 40; addr++ {

@@ -6,7 +6,7 @@ import (
 )
 
 // TestTrackedStoreFlushFenceStress hammers the lock-free persistence-tracking
-// state from many goroutines — concurrent stores, flushes, and fences over
+// masks from many goroutines — concurrent stores, flushes, and fences over
 // overlapping lines — and then checks the fundamental invariant of the
 // tracked model after quiescence: a fence on the flusher that flushed a word
 // makes it durable, so every word that went through a final
@@ -47,6 +47,16 @@ func TestTrackedStoreFlushFenceStress(t *testing.T) {
 			f.Fence()
 		}(g)
 	}
+	// One more goroutine only stores, walking every word of the shared lines:
+	// each of its marks lands in a mask word the others are flushing and
+	// claiming for their own words of the same line.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters*WordsPerLine; i++ {
+			h.Store(base+Addr(i%(lines*WordsPerLine)), uint64(i))
+		}
+	}()
 	wg.Wait()
 
 	// Phase 2: quiescent persistence. With all other threads stopped, one
@@ -76,6 +86,18 @@ func TestTrackedConcurrentFlushersSameLine(t *testing.T) {
 	h := NewHeap(Config{Words: 256, PersistLatency: NoLatency, TrackPersistence: true})
 	w := Addr(WordsPerLine) // one shared word
 	var wg sync.WaitGroup
+	// A bystander stores to a different word of the same line and never
+	// flushes it. Its mark shares the mask the flushers load and claim from:
+	// a claim that takes the mark along must write the word's media too, and
+	// its marks must not disturb theirs.
+	neighbour := w + 3
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= 4*iters; i++ {
+			h.Store(neighbour, uint64(i))
+		}
+	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -91,12 +113,21 @@ func TestTrackedConcurrentFlushersSameLine(t *testing.T) {
 	wg.Wait()
 
 	// Quiesced: the last-finishing goroutine's final fence ran with no
-	// concurrent stores left, so its completeWord loop must have driven the
-	// word to clean with media equal to the final visible value. A
-	// PersistNone crash therefore preserves it exactly.
+	// concurrent stores to the word left, so its claim must have cleared the
+	// word's mark and written media the final visible value. A PersistNone
+	// crash therefore preserves it exactly. The neighbour was never flushed
+	// on purpose, only carried along by flushes of its line, so either may
+	// have happened to its final value; what must hold is that it survives
+	// the crash exactly when media already held it — an unmarked word with
+	// stale media would survive without.
 	final := h.Load(w)
+	lastNeighbour := h.Load(neighbour)
+	neighbourInMedia := h.MediaLoad(neighbour) == lastNeighbour
 	h.Crash(PersistNone{})
 	if got := h.Load(w); got != final {
-		t.Fatalf("after quiescent fence and crash the word is %d, want %d (stale media marked clean)", got, final)
+		t.Fatalf("after quiescent fence and crash the word is %d, want %d (stale media with a cleared mark)", got, final)
+	}
+	if got := h.Load(neighbour); neighbourInMedia != (got == lastNeighbour) {
+		t.Fatalf("neighbour word is %d after the crash, its media held the final value %d: %v", got, lastNeighbour, neighbourInMedia)
 	}
 }
