@@ -153,11 +153,13 @@ type EngineMetrics = core.Metrics
 type Layout = core.Layout
 
 // Arena is the engine's persistent allocation arena (Engine.Arena), backing
-// Tx.Alloc/Tx.Free. Every block carries a persistent header, so the arena's
-// free lists and size map survive crashes: Reopen scavenges them back from
-// the headers, and ReopenKV additionally reconciles them against the store's
-// verified index so that nothing — not even blocks that were free at the
-// power failure — is ever leaked across recovery.
+// Tx.Alloc/Tx.Free — the only way to allocate or free: the Arena itself
+// offers recovery (Recover, AssertLive), quiesced maintenance (Coalesce) and
+// occupancy (Stats), nothing else. Every block carries a persistent header,
+// so the arena's free lists and size map survive crashes: Reopen scavenges
+// them back from the headers, and ReopenKV additionally reconciles them
+// against the store's verified index so that nothing — not even blocks that
+// were free at the power failure — is ever leaked across recovery.
 type Arena = alloc.Arena
 
 // ArenaStats is a snapshot of allocator occupancy (Arena.Stats): live and

@@ -1,15 +1,17 @@
-// Package alloc provides a word-granularity allocator over a carved region of
-// an emulated NVM heap, together with the per-transaction allocation log that
-// the engines use to keep transactional allocation safe.
+// Package alloc provides a transactional word-granularity allocator over a
+// carved region of an emulated NVM heap.
 //
 // The Crafty paper (Section 6, "Memory management") requires that allocations
 // performed while executing a transaction body be replayable: the Log and
 // Validate phases execute the same code, so a malloc in the Log phase must
 // return the same address when the Validate phase re-executes it, and frees
 // must be deferred until the transaction has committed. The TxLog type
-// implements exactly that protocol; the non-Crafty engines use the same log
-// simply to release allocations made by aborted attempts and to defer frees
-// to commit time.
+// implements exactly that protocol and is the only way to allocate or free:
+// every engine's Tx.Alloc and Tx.Free forward to its thread's TxLog (the
+// non-Crafty engines use the same log simply to release allocations made by
+// aborted attempts and to defer frees to commit time), and an Arena by itself
+// offers only recovery (Recover, AssertLive), quiesced maintenance (Coalesce)
+// and occupancy (Stats).
 //
 // The allocator is crash recoverable, in the style of persistent allocators
 // from the NVM literature (Makalu's offline scavenging of reachable blocks):
@@ -26,11 +28,23 @@
 package alloc
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"crafty/internal/nvm"
+)
+
+// Typed failures. NewArena returns ErrVersion (wrapped). The rest are panic
+// values of TxLog.Alloc and TxLog.Free (ErrInvalidSize and ErrExhausted
+// wrapped), since a transaction body has no error path for a mis-built or
+// mis-sized experiment.
+var (
+	ErrVersion     = errors.New("alloc: unsupported arena version")
+	ErrNoArena     = errors.New("alloc: Tx.Alloc/Tx.Free requires Config.ArenaWords > 0")
+	ErrInvalidSize = errors.New("alloc: invalid allocation size")
+	ErrExhausted   = errors.New("alloc: arena exhausted")
 )
 
 // Block identifies an allocated block: its base address and size in words.
@@ -82,18 +96,15 @@ func unpackHeader(w uint64) (lines int, allocated, ok bool) {
 	return int(w&^hdrMagicMask) >> 1, w&hdrAllocBit != 0, true
 }
 
-// Volatile boundary tags: the hot paths (size lookup on Free, free-list
-// validation, and the two coalescing probes) are O(1) reads of a per-line
-// uint32 array rather than map operations, which keeps the allocator's
-// overhead within budget on the transactional path. A tag exists exactly at
-// each live block's base line and at each free block's base and last lines
-// (one line doubles as both for single-line blocks); all other entries are
-// meaningless and never consulted.
+// Volatile block tags: the hot paths (size lookup on a transactional free and
+// free-list validation) are O(1) reads of a per-line uint32 array rather than
+// map operations, which keeps the allocator's overhead within budget on the
+// transactional path. A tag exists exactly at each block's base line; all
+// other entries are lsUnknown.
 const (
 	lsUnknown   = 0
 	lsAllocBase = 1 // line is the base of a live block
 	lsFreeBase  = 2 // line is the base of a free block
-	lsFreeEnd   = 3 // line is the last line of a multi-line free block
 
 	lsStateShift = 30
 	lsLinesMask  = (1 << lsStateShift) - 1
@@ -111,7 +122,7 @@ func lsLines(v uint32) int           { return int(v & lsLinesMask) }
 // Blocks are cache-line aligned so that independently allocated objects never
 // generate false transactional conflicts with each other.
 //
-// The boundary tags, free lists, and accounting are volatile and are rebuilt
+// The block tags, free lists, and accounting are volatile and are rebuilt
 // after a crash by Recover (NewArena runs it automatically when it finds
 // arena metadata in the region); the persistent headers and high-water mark
 // exist only to make that rebuild possible.
@@ -129,21 +140,21 @@ type Arena struct {
 	mu   sync.Mutex
 	next nvm.Addr // bump frontier within the data region
 
-	lineState []uint32 // volatile boundary tags, one per data line
+	lineState []uint32 // volatile block tags, one per data line
 
 	// Per-class stacks of free-block base addresses. Classes up to
 	// smallClassLines lines index a flat array (no map operations on the
 	// alloc/free hot path); larger classes — rehash tables, essentially —
 	// spill into a map. A stack may contain stale entries (blocks since
-	// coalesced or split away), which lookups validate against the boundary
-	// tags and drop lazily.
+	// coalesced or split away), which lookups validate against the block tags
+	// and drop lazily.
 	freeSmall [smallClassLines + 1][]nvm.Addr // indexed by class lines
 	freeLarge map[int]*[]nvm.Addr             // keyed by class words
 
 	liveBlocks, liveWords int
 	freeBlocks, freeWords int
 
-	noZero bool // skip the zero fill on Alloc (see SetZeroFill)
+	noZero bool // skip the zero fill on allocation (see SetZeroFill)
 
 	// tracking caches heap.Tracking(): on an untracked heap no crash can be
 	// injected (nvm.Heap.Crash panics), so recovery never runs and the
@@ -152,8 +163,8 @@ type Arena struct {
 	// same-process reattach (NewArena over a live region) recovers correctly.
 	tracking bool
 
-	// syncf persists metadata for callers that supply no flusher of their own
-	// (direct Alloc/Free, Adopt, Recover); guarded by mu.
+	// syncf persists the metadata the arena writes outside any transaction
+	// (construction, Recover, Coalesce); guarded by mu.
 	syncf *nvm.Flusher
 }
 
@@ -161,8 +172,9 @@ type Arena struct {
 // which the caller must have carved beforehand. If the region already holds
 // arena metadata (the heap survived a crash and the engine is reattaching),
 // the allocator's volatile state is recovered from the persistent block
-// headers; otherwise fresh metadata is initialized and persisted.
-func NewArena(heap *nvm.Heap, base nvm.Addr, words int) *Arena {
+// headers; otherwise fresh metadata is initialized and persisted. Metadata of
+// another arena version fails with ErrVersion.
+func NewArena(heap *nvm.Heap, base nvm.Addr, words int) (*Arena, error) {
 	a := &Arena{
 		heap:     heap,
 		base:     base,
@@ -175,24 +187,24 @@ func NewArena(heap *nvm.Heap, base nvm.Addr, words int) *Arena {
 	a.freeLarge = make(map[int]*[]nvm.Addr)
 	a.next = a.dataBase
 	if a.dataLines == 0 {
-		return a
+		return a, nil
 	}
 	if heap.Load(a.metaBase+offArenaMagic) == arenaMagic {
 		if v := heap.Load(a.metaBase + offArenaVersion); v != arenaVersion {
 			// A mismatch means the region was laid out by an incompatible
 			// arena format; scavenging it under this version's assumptions
 			// would rebuild a silently wrong free list.
-			panic(fmt.Sprintf("alloc: arena at %d has version %d, this build supports %d", base, v, arenaVersion))
+			return nil, fmt.Errorf("%w: arena at %d has version %d, this build supports %d", ErrVersion, base, v, arenaVersion)
 		}
 		a.recoverFromHeaders()
-		return a
+		return a, nil
 	}
 	heap.Store(a.metaBase+offArenaVersion, arenaVersion)
 	heap.Store(a.metaBase+offArenaHighWater, 0)
 	heap.Store(a.metaBase+offArenaMagic, arenaMagic)
 	a.syncf.FlushRange(a.metaBase, nvm.WordsPerLine)
 	a.syncf.Drain()
-	return a
+	return a, nil
 }
 
 // computeLayout splits the region into metadata line, header table, and data
@@ -232,7 +244,7 @@ func NewArenaCarved(heap *nvm.Heap, words int) (*Arena, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewArena(heap, base, words), nil
+	return NewArena(heap, base, words)
 }
 
 // sizeClass rounds a request up to whole cache lines.
@@ -285,6 +297,18 @@ func (a *Arena) persistHighWater(f *nvm.Flusher) {
 	}
 }
 
+// persistedHighWater reads the high-water mark back, in data lines, clamped to
+// the data region. The word is bytes recovery did not just write, so the
+// compare is unsigned: as an int, a word with the top bit set is negative,
+// passes a signed clamp, and puts the frontier below blocks that are live.
+func (a *Arena) persistedHighWater() int {
+	hw := a.heap.Load(a.metaBase + offArenaHighWater)
+	if hw > uint64(a.dataLines) {
+		return a.dataLines
+	}
+	return int(hw)
+}
+
 // markAlloc tags a block live and accounts it. The covering free extents
 // must already have been removed.
 func (a *Arena) markAlloc(addr nvm.Addr, class int) {
@@ -317,14 +341,9 @@ func (a *Arena) stackFor(class int, create bool) *[]nvm.Addr {
 	return st
 }
 
-// addFree registers a free block: boundary tags, class stack, accounting.
+// addFree registers a free block: tag, class stack, accounting.
 func (a *Arena) addFree(addr nvm.Addr, class int) {
-	lines := class / nvm.WordsPerLine
-	l := a.lineOf(addr)
-	a.lineState[l] = lsPack(lsFreeBase, lines)
-	if lines > 1 {
-		a.lineState[l+lines-1] = lsPack(lsFreeEnd, lines)
-	}
+	a.lineState[a.lineOf(addr)] = lsPack(lsFreeBase, class/nvm.WordsPerLine)
 	st := a.stackFor(class, true)
 	*st = append(*st, addr)
 	a.freeBlocks++
@@ -334,12 +353,7 @@ func (a *Arena) addFree(addr nvm.Addr, class int) {
 // removeFree unregisters a free block; its class-stack entry is left stale
 // and dropped lazily by takeFree.
 func (a *Arena) removeFree(addr nvm.Addr, class int) {
-	lines := class / nvm.WordsPerLine
-	l := a.lineOf(addr)
-	a.lineState[l] = lsUnknown
-	if lines > 1 {
-		a.lineState[l+lines-1] = lsUnknown
-	}
+	a.lineState[a.lineOf(addr)] = lsUnknown
 	a.freeBlocks--
 	a.freeWords -= class
 }
@@ -402,77 +416,6 @@ func (a *Arena) splitFree(class int, f *nvm.Flusher) (nvm.Addr, bool) {
 	}
 }
 
-// Alloc returns a zeroed, cache-line-aligned block of at least words words,
-// persisting its header immediately (flush + drain). Transactional callers
-// go through AllocFlush via the TxLog, which instead lets the header flush
-// ride the owning thread's existing persist batching.
-func (a *Arena) Alloc(words int) (nvm.Addr, error) {
-	return a.allocWith(words, nil)
-}
-
-// AllocFlush is Alloc with the header writes flushed through f and fenced by
-// f's next drain or hardware-transaction commit, instead of being drained
-// inline — the allocation hot path of the engines' TxLogs.
-func (a *Arena) AllocFlush(words int, f *nvm.Flusher) (nvm.Addr, error) {
-	return a.allocWith(words, f)
-}
-
-func (a *Arena) allocWith(words int, f *nvm.Flusher) (nvm.Addr, error) {
-	if words <= 0 {
-		return nvm.NilAddr, fmt.Errorf("alloc: invalid size %d", words)
-	}
-	class := sizeClass(words)
-
-	a.mu.Lock()
-	fl := f
-	if fl == nil {
-		fl = a.syncf
-	}
-	addr, ok := a.takeFree(class)
-	if !ok {
-		addr, ok = a.splitFree(class, fl)
-	}
-	if !ok {
-		if int(a.next-a.dataBase)+class > a.dataLines*nvm.WordsPerLine {
-			used := int(a.next - a.dataBase)
-			a.mu.Unlock()
-			return nvm.NilAddr, fmt.Errorf("alloc: arena exhausted (%d of %d words used, need %d)", used, a.dataLines*nvm.WordsPerLine, class)
-		}
-		addr = a.next
-		a.next += nvm.Addr(class)
-		a.writeHeader(fl, addr, class, true)
-		a.persistHighWater(fl)
-	} else {
-		a.writeHeader(fl, addr, class, true)
-	}
-	a.markAlloc(addr, class)
-	if f == nil {
-		a.syncf.Drain()
-	}
-	a.mu.Unlock()
-	a.zero(addr, class)
-	return addr, nil
-}
-
-// MustAlloc is Alloc that panics on exhaustion; transaction bodies use it via
-// ptm.Tx.Alloc, where exhaustion indicates a mis-sized experiment.
-func (a *Arena) MustAlloc(words int) nvm.Addr {
-	addr, err := a.Alloc(words)
-	if err != nil {
-		panic(err)
-	}
-	return addr
-}
-
-// mustAllocFlush is AllocFlush that panics on exhaustion (the TxLog path).
-func (a *Arena) mustAllocFlush(words int, f *nvm.Flusher) nvm.Addr {
-	addr, err := a.AllocFlush(words, f)
-	if err != nil {
-		panic(err)
-	}
-	return addr
-}
-
 // Storer is the transactional write handle the TxLog routes block-header
 // flips through: issuing the header word's alloc/free transition as a
 // tx.Store makes the flip part of the owning transaction's undo log, so
@@ -482,44 +425,41 @@ type Storer interface {
 	Store(addr nvm.Addr, val uint64)
 }
 
-// allocTx reserves a block for a transactional allocation without writing its
-// base header: the caller issues the header flip through its transaction
-// (see Storer), so the flip rolls back if the transaction does. Everything
-// else — free-list removal, split remainders, the high-water mark — is
-// published here exactly as in allocWith; remainder headers and the
-// high-water mark stay non-transactional because a crash either commits the
-// allocating transaction (they were fenced by its commit) or rolls it back
-// (the restored base header covers the donor whole again). Returns the block
-// base, its size class in words, and the header word the caller must Store.
+// allocTx reserves a zeroed, cache-line-aligned block of at least words words
+// for a transactional allocation — the one place blocks leave the free lists:
+// an exact-class free block if there is one, else the smallest larger free
+// block split, else the bump frontier. It does not write the block's base
+// header: the caller issues the header flip through its transaction (see
+// Storer), so the flip rolls back if the transaction does. Split remainders'
+// headers and the high-water mark are written here, flushed through f, and
+// stay non-transactional because a crash either commits the allocating
+// transaction (they were fenced by its commit) or rolls it back (the restored
+// base header covers the donor whole again). Returns the block base, its size
+// class in words, and the header word the caller must Store. A non-positive
+// size panics with ErrInvalidSize and a full arena with ErrExhausted: inside a
+// transaction body either indicates a mis-sized experiment.
 func (a *Arena) allocTx(words int, f *nvm.Flusher) (addr nvm.Addr, class int, hdrAddr nvm.Addr, hdrWord uint64) {
 	if words <= 0 {
-		panic(fmt.Sprintf("alloc: invalid size %d", words))
+		panic(fmt.Errorf("%w %d", ErrInvalidSize, words))
 	}
 	class = sizeClass(words)
 
 	a.mu.Lock()
-	fl := f
-	if fl == nil {
-		fl = a.syncf
-	}
 	addr, ok := a.takeFree(class)
 	if !ok {
-		addr, ok = a.splitFree(class, fl)
+		addr, ok = a.splitFree(class, f)
 	}
 	if !ok {
 		if int(a.next-a.dataBase)+class > a.dataLines*nvm.WordsPerLine {
 			used := int(a.next - a.dataBase)
 			a.mu.Unlock()
-			panic(fmt.Sprintf("alloc: arena exhausted (%d of %d words used, need %d)", used, a.dataLines*nvm.WordsPerLine, class))
+			panic(fmt.Errorf("%w (%d of %d words used, need %d)", ErrExhausted, used, a.dataLines*nvm.WordsPerLine, class))
 		}
 		addr = a.next
 		a.next += nvm.Addr(class)
-		a.persistHighWater(fl)
+		a.persistHighWater(f)
 	}
 	a.markAlloc(addr, class)
-	if f == nil {
-		a.syncf.Drain()
-	}
 	a.mu.Unlock()
 	a.zero(addr, class)
 	return addr, class, a.headerAddr(addr), packHeader(class/nvm.WordsPerLine, true)
@@ -571,16 +511,9 @@ func (a *Arena) releaseTxAlloc(addr nvm.Addr, f *nvm.Flusher) {
 		panic(fmt.Sprintf("alloc: release of unallocated address %d", addr))
 	}
 	class := lsLines(a.lineState[l]) * nvm.WordsPerLine
-	fl := f
-	if fl == nil {
-		fl = a.syncf
-	}
 	a.unmarkAlloc(addr, class)
-	a.writeHeader(fl, addr, class, false)
+	a.writeHeader(f, addr, class, false)
 	a.addFree(addr, class)
-	if f == nil {
-		a.syncf.Drain()
-	}
 }
 
 // zero clears a block's visible contents. Zeroing happens outside any
@@ -595,9 +528,9 @@ func (a *Arena) zero(addr nvm.Addr, words int) {
 	}
 }
 
-// SetZeroFill controls whether Alloc zero fills blocks (the default). A data
-// structure that transactionally writes every word it later reads — the kv
-// store does — can disable it: besides saving the fill, this is what makes
+// SetZeroFill controls whether allocation zero fills blocks (the default). A
+// data structure that transactionally writes every word it later reads — the
+// kv store does — can disable it: besides saving the fill, this is what makes
 // block reuse recoverable, because the non-transactional zero fill would
 // otherwise overwrite the pre-images that post-crash rollback of the reusing
 // transaction must restore (see DESIGN.md, "Durable key-value store").
@@ -605,183 +538,6 @@ func (a *Arena) SetZeroFill(enabled bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.noZero = !enabled
-}
-
-// Free returns a block to the arena, coalescing it with free neighbors and
-// persisting the merged block's header immediately. Freeing an address that
-// is not currently allocated panics: it indicates a double free in an engine
-// or workload.
-func (a *Arena) Free(addr nvm.Addr) { a.freeWith(addr, nil) }
-
-// FreeFlush is Free with the header writes flushed through f and fenced by
-// f's next drain or hardware-transaction commit — the TxLog's commit-time
-// free path.
-func (a *Arena) FreeFlush(addr nvm.Addr, f *nvm.Flusher) { a.freeWith(addr, f) }
-
-func (a *Arena) freeWith(addr nvm.Addr, f *nvm.Flusher) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	l := a.lineOf(addr)
-	if l < 0 || l >= a.dataLines || lsState(a.lineState[l]) != lsAllocBase {
-		panic(fmt.Sprintf("alloc: free of unallocated address %d", addr))
-	}
-	lines := lsLines(a.lineState[l])
-	class := lines * nvm.WordsPerLine
-	fl := f
-	if fl == nil {
-		fl = a.syncf
-	}
-	a.unmarkAlloc(addr, class)
-
-	// Coalesce with adjacent free blocks (classic boundary tags: the word
-	// left of the block is the left neighbor's end tag, the word after it is
-	// the right neighbor's base tag). The merged persistent header is one
-	// word, so a crash observes either the pre-merge blocks (all valid
-	// headers) or the merged one, whose recovery walk skips the absorbed
-	// blocks' stale headers.
-	start, total := addr, class
-	if l > 0 {
-		switch v := a.lineState[l-1]; lsState(v) {
-		case lsFreeEnd:
-			lb := a.lineAddr(l - lsLines(v))
-			lc := lsLines(v) * nvm.WordsPerLine
-			a.removeFree(lb, lc)
-			start, total = lb, lc+total
-		case lsFreeBase: // single-line left neighbor
-			lb := a.lineAddr(l - 1)
-			lc := lsLines(v) * nvm.WordsPerLine
-			a.removeFree(lb, lc)
-			start, total = lb, lc+total
-		}
-	}
-	if right := l + lines; a.lineAddr(right) < a.next {
-		if v := a.lineState[right]; lsState(v) == lsFreeBase {
-			rc := lsLines(v) * nvm.WordsPerLine
-			a.removeFree(a.lineAddr(right), rc)
-			total += rc
-		}
-	}
-	a.writeHeader(fl, start, total, false)
-	a.addFree(start, total)
-	if f == nil {
-		a.syncf.Drain()
-	}
-}
-
-// blocksLocked walks the volatile block chain in address order; callers hold
-// mu. visit receives each block's base, size class in words, and liveness.
-func (a *Arena) blocksLocked(visit func(addr nvm.Addr, class int, live bool) bool) error {
-	line := 0
-	for a.lineAddr(line) < a.next {
-		v := a.lineState[line]
-		st, lines := lsState(v), lsLines(v)
-		if (st != lsAllocBase && st != lsFreeBase) || lines <= 0 {
-			return fmt.Errorf("alloc: corrupt volatile block chain at line %d (tag %#x)", line, v)
-		}
-		if !visit(a.lineAddr(line), lines*nvm.WordsPerLine, st == lsAllocBase) {
-			return nil
-		}
-		line += lines
-	}
-	return nil
-}
-
-// Adopt marks the block [addr, addr+sizeClass(words)) as allocated, carving
-// it out of free space: from inside an existing free block (splitting off
-// the remainders), or from beyond the bump frontier (in which case the gap
-// between the old frontier and the block becomes a free block rather than
-// leaking). Adoption fails if the block overlaps any live block — including
-// partial overlaps at different base addresses, which earlier versions
-// missed — or any space that is neither free nor beyond the frontier.
-//
-// Recover supersedes Adopt for whole-arena rebuilds; Adopt remains for
-// callers registering individual externally-tracked blocks.
-func (a *Arena) Adopt(addr nvm.Addr, words int) error {
-	if words <= 0 {
-		return fmt.Errorf("alloc: adopt of invalid size %d", words)
-	}
-	class := sizeClass(words)
-	end := addr + nvm.Addr(class)
-	if addr < a.dataBase || int(end-a.dataBase) > a.dataLines*nvm.WordsPerLine {
-		return fmt.Errorf("alloc: adopted block [%d,+%d) outside arena data region [%d,+%d)", addr, class, a.dataBase, a.dataLines*nvm.WordsPerLine)
-	}
-	if addr%nvm.WordsPerLine != 0 {
-		return fmt.Errorf("alloc: adopted block %d is not line aligned", addr)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-
-	// Walk the block chain: everything intersecting [addr, end) must be
-	// free, and the free blocks are the donors to carve from.
-	var donors []Block
-	overlapErr := error(nil)
-	walkErr := a.blocksLocked(func(b nvm.Addr, c int, live bool) bool {
-		bEnd := b + nvm.Addr(c)
-		if b >= end {
-			return false
-		}
-		if bEnd <= addr {
-			return true
-		}
-		if live {
-			if b == addr {
-				overlapErr = fmt.Errorf("alloc: block %d adopted twice (sizes %d and %d)", addr, c, class)
-			} else {
-				overlapErr = fmt.Errorf("alloc: adopted block [%d,+%d) overlaps live block [%d,+%d)", addr, class, b, c)
-			}
-			return false
-		}
-		donors = append(donors, Block{Addr: b, Words: c})
-		return true
-	})
-	if walkErr != nil {
-		return walkErr
-	}
-	if overlapErr != nil {
-		return overlapErr
-	}
-	// Coverage: donors (address ordered) plus the frontier must cover the
-	// whole block.
-	cursor := addr
-	for _, d := range donors {
-		if d.Addr > cursor {
-			return fmt.Errorf("alloc: adopted block [%d,+%d) overlaps unaccounted space at %d", addr, class, cursor)
-		}
-		if e := d.Addr + nvm.Addr(d.Words); e > cursor {
-			cursor = e
-		}
-	}
-	if cursor < end && cursor < a.next {
-		return fmt.Errorf("alloc: adopted block [%d,+%d) overlaps unaccounted space at %d", addr, class, cursor)
-	}
-
-	for _, d := range donors {
-		a.removeFree(d.Addr, d.Words)
-		if d.Addr < addr {
-			left := int(addr - d.Addr)
-			a.writeHeader(a.syncf, d.Addr, left, false)
-			a.addFree(d.Addr, left)
-		}
-		if dEnd := d.Addr + nvm.Addr(d.Words); dEnd > end {
-			right := int(dEnd - end)
-			a.writeHeader(a.syncf, end, right, false)
-			a.addFree(end, right)
-		}
-	}
-	if addr > a.next {
-		gap := int(addr - a.next)
-		a.writeHeader(a.syncf, a.next, gap, false)
-		a.addFree(a.next, gap)
-		a.next = addr
-	}
-	if end > a.next {
-		a.next = end
-	}
-	a.persistHighWater(a.syncf)
-	a.writeHeader(a.syncf, addr, class, true)
-	a.markAlloc(addr, class)
-	a.syncf.Drain()
-	return nil
 }
 
 // RecoverReport summarizes an allocator recovery pass.
@@ -812,7 +568,7 @@ type RecoverReport struct {
 // (whatever their headers claimed — a rolled-back free's premature header,
 // or a lost header at the frontier), every other word below the recovered
 // frontier becomes free, headers are rewritten to match, and no word is
-// leaked: LiveWords + FreeWords == Used() on return. Overlapping reachable
+// leaked: LiveWords + FreeWords == UsedWords on return. Overlapping reachable
 // blocks indicate corrupt caller metadata and fail.
 func (a *Arena) Recover(reachable []Block) (RecoverReport, error) {
 	a.mu.Lock()
@@ -831,10 +587,7 @@ func (a *Arena) Recover(reachable []Block) (RecoverReport, error) {
 // constructor).
 func (a *Arena) recoverFromHeaders() RecoverReport {
 	var rep RecoverReport
-	hw := int(a.heap.Load(a.metaBase + offArenaHighWater))
-	if hw > a.dataLines {
-		hw = a.dataLines
-	}
+	hw := a.persistedHighWater()
 	a.resetVolatile()
 	a.next = a.dataBase + nvm.Addr(hw*nvm.WordsPerLine)
 
@@ -921,22 +674,22 @@ func (a *Arena) reconcile(reachable []Block) (RecoverReport, error) {
 	for _, b := range blocks {
 		seen[b.Addr] = true
 	}
-	_ = a.blocksLocked(func(addr nvm.Addr, class int, live bool) bool {
-		if live && !seen[addr] {
+	for line := 0; a.lineAddr(line) < a.next; {
+		v := a.lineState[line]
+		if lsState(v) == lsUnknown || lsLines(v) <= 0 {
+			break // quarantined or unparseable region: nothing to report past it
+		}
+		if lsState(v) == lsAllocBase && !seen[a.lineAddr(line)] {
 			rep.Dropped++
 		}
-		return true
-	})
+		line += lsLines(v)
+	}
 
 	// The recovered frontier covers both the persisted high-water mark and
 	// every reachable block (a frontier block can be reachable while the
 	// crash lost its high-water flush only if its transaction never durably
 	// committed, but covering both is free and unconditionally safe).
-	hw := int(a.heap.Load(a.metaBase + offArenaHighWater))
-	if hw > a.dataLines {
-		hw = a.dataLines
-	}
-	next := a.dataBase + nvm.Addr(hw*nvm.WordsPerLine)
+	next := a.dataBase + nvm.Addr(a.persistedHighWater()*nvm.WordsPerLine)
 	if n := len(blocks); n > 0 {
 		if end := blocks[n-1].Addr + nvm.Addr(sizeClass(blocks[n-1].Words)); end > next {
 			next = end
@@ -1048,45 +801,6 @@ func (a *Arena) AssertLive(blocks []Block) error {
 	return nil
 }
 
-// Live reports how many blocks are currently allocated.
-func (a *Arena) Live() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.liveBlocks
-}
-
-// Used reports how many words of the data region have ever been handed out:
-// the high-water mark of the bump frontier. It is monotone — Free returns
-// blocks to the free lists without retreating the frontier — so real
-// occupancy is LiveWords (allocated) plus FreeWords (reusable), which always
-// sum to Used.
-func (a *Arena) Used() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return int(a.next - a.dataBase)
-}
-
-// LiveWords reports the total size of currently allocated blocks.
-func (a *Arena) LiveWords() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.liveWords
-}
-
-// FreeWords reports the total size of blocks on the free lists.
-func (a *Arena) FreeWords() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.freeWords
-}
-
-// FreeBlocks reports how many (coalesced) free blocks the arena holds.
-func (a *Arena) FreeBlocks() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.freeBlocks
-}
-
 // DataWords reports the allocatable capacity of the arena (the region size
 // minus the persistent metadata overhead).
 func (a *Arena) DataWords() int { return a.dataLines * nvm.WordsPerLine }
@@ -1095,7 +809,7 @@ func (a *Arena) DataWords() int { return a.dataLines * nvm.WordsPerLine }
 type Stats struct {
 	Live       int // allocated blocks
 	LiveWords  int // their total size in words
-	FreeBlocks int // coalesced free blocks
+	FreeBlocks int // blocks on the free lists
 	FreeWords  int // reusable words on the free lists
 	UsedWords  int // high-water mark (LiveWords + FreeWords)
 	DataWords  int // allocatable capacity
@@ -1113,24 +827,4 @@ func (a *Arena) Stats() Stats {
 		UsedWords:  int(a.next - a.dataBase),
 		DataWords:  a.dataLines * nvm.WordsPerLine,
 	}
-}
-
-// Contains reports whether addr lies inside the arena's region.
-func (a *Arena) Contains(addr nvm.Addr) bool {
-	return addr >= a.base && addr < a.base+nvm.Addr(a.words)
-}
-
-// OutstandingBlocks returns the currently allocated blocks in address order;
-// used by leak-detection tests.
-func (a *Arena) OutstandingBlocks() []Block {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Block, 0, a.liveBlocks)
-	_ = a.blocksLocked(func(addr nvm.Addr, class int, live bool) bool {
-		if live {
-			out = append(out, Block{Addr: addr, Words: class})
-		}
-		return true
-	})
-	return out
 }

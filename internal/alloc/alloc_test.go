@@ -1,20 +1,82 @@
 package alloc
 
 import (
+	"errors"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"crafty/internal/nvm"
 )
 
-func newArena(t *testing.T, words int) *Arena {
+// txArena drives an arena the way the engines do: one thread's TxLog, its
+// flusher, and a Storer that writes header flips to the heap. The Storer
+// flushes what it stores, as an engine's persistent write does, and commit
+// drains, so a committed transaction's allocator metadata survives any crash
+// and an uncommitted one's is at the crash policy's mercy.
+type txArena struct {
+	*Arena
+	h *nvm.Heap
+	f *nvm.Flusher
+	l *TxLog
+}
+
+func wrapArena(h *nvm.Heap, a *Arena) *txArena {
+	f := h.NewFlusher()
+	return &txArena{Arena: a, h: h, f: f, l: NewTxLog(a, f)}
+}
+
+func newArena(t testing.TB, words int) *txArena { return newHeapArena(t, words, false) }
+
+func newHeapArena(t testing.TB, words int, tracked bool) *txArena {
 	t.Helper()
-	h := nvm.NewHeap(nvm.Config{Words: words + 64, PersistLatency: nvm.NoLatency})
+	h := nvm.NewHeap(nvm.Config{Words: words + 128, PersistLatency: nvm.NoLatency, TrackPersistence: tracked})
 	a, err := NewArenaCarved(h, words)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return wrapArena(h, a)
+}
+
+// reattach builds a fresh arena over x's region, as core.Open does after a
+// crash, recovering the volatile state from the persistent headers.
+func (x *txArena) reattach(t testing.TB) *txArena {
+	t.Helper()
+	a, err := NewArena(x.h, x.base, x.words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wrapArena(x.h, a)
+}
+
+// Store implements Storer.
+func (x *txArena) Store(addr nvm.Addr, v uint64) {
+	x.h.Store(addr, v)
+	x.f.Flush(addr)
+}
+
+// commit ends the open transaction durably.
+func (x *txArena) commit() {
+	x.l.Commit()
+	x.f.Drain()
+}
+
+// alloc is one committed transaction allocating one block.
+func (x *txArena) alloc(words int) nvm.Addr {
+	x.l.Begin()
+	addr := x.l.Alloc(words, x)
+	x.commit()
+	return addr
+}
+
+// free is one committed transaction freeing addrs.
+func (x *txArena) free(addrs ...nvm.Addr) {
+	x.l.Begin()
+	for _, addr := range addrs {
+		x.l.Free(addr, x)
+	}
+	x.commit()
 }
 
 // checkAccounting asserts the arena's occupancy invariant: every word below
@@ -27,14 +89,23 @@ func checkAccounting(t *testing.T, a *Arena) {
 	}
 }
 
+// mustPanicWith runs fn and requires it to panic with an error wrapping want.
+func mustPanicWith(t *testing.T, want error, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if err, _ := recover().(error); !errors.Is(err, want) {
+			t.Fatalf("panic value %v, want one wrapping %v", err, want)
+		}
+	}()
+	fn()
+}
+
 func TestAllocReturnsDistinctAlignedBlocks(t *testing.T) {
 	a := newArena(t, 8192)
 	seen := make(map[nvm.Addr]bool)
 	for i := 0; i < 100; i++ {
-		addr, err := a.Alloc(3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		addr := a.alloc(3)
 		if addr%nvm.WordsPerLine != 0 {
 			t.Fatalf("block %d at %d not line aligned", i, addr)
 		}
@@ -43,34 +114,25 @@ func TestAllocReturnsDistinctAlignedBlocks(t *testing.T) {
 		}
 		seen[addr] = true
 	}
-	if a.Live() != 100 {
-		t.Fatalf("Live() = %d, want 100", a.Live())
+	if live := a.Stats().Live; live != 100 {
+		t.Fatalf("Stats().Live = %d, want 100", live)
 	}
-	checkAccounting(t, a)
+	checkAccounting(t, a.Arena)
 }
 
 func TestAllocZeroesRecycledBlocks(t *testing.T) {
 	a := newArena(t, 1024)
-	addr, _ := a.Alloc(4)
-	heapOf(a).Store(addr, 999)
-	a.Free(addr)
-	again, _ := a.Alloc(4)
+	addr := a.alloc(4)
+	a.h.Store(addr, 999)
+	a.free(addr)
+	again := a.alloc(4)
 	if again != addr {
 		t.Fatalf("free list did not recycle block: got %d, want %d", again, addr)
 	}
-	if got := heapOf(a).Load(again); got != 0 {
+	if got := a.h.Load(again); got != 0 {
 		t.Fatalf("recycled block not zeroed: %d", got)
 	}
 }
-
-func heapOf(a *Arena) *nvm.Heap { return a.heap }
-
-// directTx is the trivial Storer tests hand the TxLog: header flips write
-// straight to the heap, as an uncontended committed transaction publishes
-// them (a pointer type, so boxing it as a Storer does not allocate).
-type directTx struct{ h *nvm.Heap }
-
-func (s *directTx) Store(addr nvm.Addr, v uint64) { s.h.Store(addr, v) }
 
 func TestAllocInvalidAndExhausted(t *testing.T) {
 	// 4 lines total: one metadata line, one header line, two data lines.
@@ -78,247 +140,175 @@ func TestAllocInvalidAndExhausted(t *testing.T) {
 	if got := a.DataWords(); got != 2*nvm.WordsPerLine {
 		t.Fatalf("DataWords() = %d, want %d", got, 2*nvm.WordsPerLine)
 	}
-	if _, err := a.Alloc(0); err == nil {
-		t.Fatal("expected error for zero-size allocation")
+	mustPanicWith(t, ErrInvalidSize, func() { a.alloc(0) })
+	mustPanicWith(t, ErrInvalidSize, func() { a.alloc(-5) })
+	a.alloc(nvm.WordsPerLine)
+	a.alloc(nvm.WordsPerLine)
+	mustPanicWith(t, ErrExhausted, func() { a.alloc(1) })
+	// The failed transactions reserved nothing.
+	if st := a.Stats(); st.Live != 2 || st.UsedWords != 2*nvm.WordsPerLine {
+		t.Fatalf("after failed allocations: %+v, want 2 live blocks filling the arena", st)
 	}
-	if _, err := a.Alloc(-5); err == nil {
-		t.Fatal("expected error for negative allocation")
-	}
-	if _, err := a.Alloc(nvm.WordsPerLine); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Alloc(nvm.WordsPerLine); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Alloc(1); err == nil {
-		t.Fatal("expected exhaustion error")
-	}
+	checkAccounting(t, a.Arena)
 }
 
 func TestSetZeroFillDisablesZeroing(t *testing.T) {
 	a := newArena(t, 1024)
 	a.SetZeroFill(false)
-	addr, _ := a.Alloc(4)
-	heapOf(a).Store(addr, 999)
-	a.Free(addr)
-	again, _ := a.Alloc(4)
+	addr := a.alloc(4)
+	a.h.Store(addr, 999)
+	a.free(addr)
+	again := a.alloc(4)
 	if again != addr {
 		t.Fatalf("free list did not recycle block: got %d, want %d", again, addr)
 	}
-	if got := heapOf(a).Load(again); got != 999 {
+	if got := a.h.Load(again); got != 999 {
 		t.Fatalf("recycled block was zeroed with zero fill disabled: %d", got)
 	}
 }
 
 func TestSplitServesSmallRequestFromLargerFreeBlock(t *testing.T) {
 	a := newArena(t, 8192)
-	big := a.MustAlloc(8 * nvm.WordsPerLine)
+	big := a.alloc(8 * nvm.WordsPerLine)
 	// A guard block so the frontier never adjoins the hole under test.
-	guard := a.MustAlloc(nvm.WordsPerLine)
-	a.Free(big)
-	usedBefore := a.Used()
+	a.alloc(nvm.WordsPerLine)
+	a.free(big)
+	usedBefore := a.Stats().UsedWords
 
 	// The small request must be carved out of the free block, not the
 	// frontier: mixed-size churn must reuse free space even on class misses.
-	small, err := a.Alloc(nvm.WordsPerLine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := a.alloc(nvm.WordsPerLine)
 	if small != big {
 		t.Fatalf("class-miss allocation did not split the free block: got %d, want %d", small, big)
 	}
-	if a.Used() != usedBefore {
-		t.Fatalf("split allocation grew the arena: used %d -> %d", usedBefore, a.Used())
+	if used := a.Stats().UsedWords; used != usedBefore {
+		t.Fatalf("split allocation grew the arena: used %d -> %d", usedBefore, used)
 	}
-	if got := a.FreeWords(); got != 7*nvm.WordsPerLine {
-		t.Fatalf("FreeWords() = %d after split, want %d", got, 7*nvm.WordsPerLine)
+	if got := a.Stats().FreeWords; got != 7*nvm.WordsPerLine {
+		t.Fatalf("FreeWords = %d after split, want %d", got, 7*nvm.WordsPerLine)
 	}
-	mid, err := a.Alloc(3 * nvm.WordsPerLine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mid := a.alloc(3 * nvm.WordsPerLine)
 	if mid != big+nvm.WordsPerLine {
 		t.Fatalf("second split allocation at %d, want %d", mid, big+nvm.WordsPerLine)
 	}
-	checkAccounting(t, a)
+	checkAccounting(t, a.Arena)
 
-	// Freeing the pieces coalesces them back into one block.
-	a.Free(small)
-	a.Free(mid)
-	if got := a.FreeBlocks(); got != 1 {
-		t.Fatalf("FreeBlocks() = %d after coalescing frees, want 1", got)
+	// Commit-time frees leave the pieces apart (a merged header could shadow
+	// a rolled-back free's); a quiesced Coalesce merges them back into one
+	// block, which serves the original large class again.
+	a.free(small, mid)
+	if st := a.Stats(); st.FreeBlocks != 3 || st.FreeWords != 8*nvm.WordsPerLine {
+		t.Fatalf("after freeing the pieces: %d free blocks (%d words), want 3 (%d)", st.FreeBlocks, st.FreeWords, 8*nvm.WordsPerLine)
 	}
-	if got := a.FreeWords(); got != 8*nvm.WordsPerLine {
-		t.Fatalf("FreeWords() = %d after coalescing frees, want %d", got, 8*nvm.WordsPerLine)
+	if merged := a.Coalesce(); merged != 2 {
+		t.Fatalf("Coalesce() merged %d blocks, want 2", merged)
 	}
-	// The coalesced block serves the original large class again.
-	back, err := a.Alloc(8 * nvm.WordsPerLine)
-	if err != nil {
-		t.Fatal(err)
+	if got := a.Stats().FreeBlocks; got != 1 {
+		t.Fatalf("FreeBlocks = %d after Coalesce, want 1", got)
 	}
-	if back != big {
+	if back := a.alloc(8 * nvm.WordsPerLine); back != big {
 		t.Fatalf("coalesced block not reused: got %d, want %d", back, big)
 	}
-	_ = guard
-	checkAccounting(t, a)
+	checkAccounting(t, a.Arena)
 }
 
+// TestMixedSizeChurnDoesNotGrowArena is the property churn-text's space_amp
+// rests on: a bounded live set whose blocks keep changing size (values that
+// grow) is served from a bounded arena as long as Coalesce runs at quiesced
+// points, and is not without it — commit-time frees never merge, so blocks
+// of outgrown classes are stranded and every larger request bumps the
+// frontier.
 func TestMixedSizeChurnDoesNotGrowArena(t *testing.T) {
-	a := newArena(t, 1<<14)
-	sizes := []int{3, 20, 9, 40, 1, 17}
-	var live []nvm.Addr
-	// Warm up: one block of each size, then free everything.
-	for _, s := range sizes {
-		live = append(live, a.MustAlloc(s))
-	}
-	for _, addr := range live {
-		a.Free(addr)
-	}
-	highWater := a.Used()
-	// Steady churn in varying interleavings must be served entirely from
-	// free space (splitting and coalescing as needed).
-	for round := 0; round < 50; round++ {
-		live = live[:0]
-		for i := range sizes {
-			live = append(live, a.MustAlloc(sizes[(i+round)%len(sizes)]))
+	churn := func(coalesce bool) (used, peakLive int) {
+		a := newArena(t, 1<<18)
+		rng := rand.New(rand.NewSource(1))
+		live := make([]nvm.Addr, 16)
+		for i := range live {
+			live[i] = a.alloc(1 + rng.Intn(4*nvm.WordsPerLine))
 		}
-		for _, addr := range live {
-			a.Free(addr)
+		for step := 0; step < 4096; step++ {
+			// One update: a new block a little larger than the sizes in
+			// use 64 steps ago replaces a random live one, in one transaction.
+			i := rng.Intn(len(live))
+			size := (step/64)*nvm.WordsPerLine + 1 + rng.Intn(4*nvm.WordsPerLine)
+			a.l.Begin()
+			next := a.l.Alloc(size, a)
+			a.l.Free(live[i], a)
+			a.commit()
+			live[i] = next
+			peakLive = max(peakLive, a.Stats().LiveWords)
+			if coalesce && step%32 == 31 {
+				a.Coalesce() // quiesced: every transaction above is durable
+			}
 		}
+		checkAccounting(t, a.Arena)
+		return a.Stats().UsedWords, peakLive
 	}
-	if a.Used() != highWater {
-		t.Fatalf("mixed-size churn grew the arena: %d -> %d words", highWater, a.Used())
+	with, peak := churn(true)
+	without, _ := churn(false)
+	t.Logf("used words: %d with Coalesce, %d without (peak live %d)", with, without, peak)
+	if with > 3*peak {
+		t.Fatalf("churn with Coalesce grew the arena to %d words, more than three times the %d ever live", with, peak)
 	}
-	checkAccounting(t, a)
+	if without < 4*with {
+		t.Fatalf("churn without Coalesce used %d words against %d with it; the test no longer shows what coalescing buys", without, with)
+	}
 }
 
 func TestNewArenaRecoversExistingMetadata(t *testing.T) {
-	h := nvm.NewHeap(nvm.Config{Words: 8192, PersistLatency: nvm.NoLatency})
-	base := h.MustCarve(4096)
-	before := NewArena(h, base, 4096)
-	first := before.MustAlloc(8)
-	second := before.MustAlloc(16)
-	third := before.MustAlloc(8)
-	before.Free(second) // a hole: freed before the "crash"
+	before := newArena(t, 4096)
+	first := before.alloc(8)
+	second := before.alloc(16)
+	before.alloc(8)
+	before.free(second) // a hole: freed before the "crash"
 
 	// A fresh arena over the same region, as core.Open builds after a crash,
 	// recovers the allocator state from the persistent block headers: the
 	// live blocks are live, and the hole is on the free lists rather than
 	// leaked.
-	after := NewArena(h, base, 4096)
-	if after.Live() != 2 {
-		t.Fatalf("Live() = %d, want 2", after.Live())
+	after := before.reattach(t)
+	st := after.Stats()
+	if st.Live != 2 {
+		t.Fatalf("Live = %d, want 2", st.Live)
 	}
-	if got, want := after.FreeWords(), SizeClass(16); got != want {
-		t.Fatalf("FreeWords() = %d, want %d (the freed hole)", got, want)
+	if got, want := st.FreeWords, SizeClass(16); got != want {
+		t.Fatalf("FreeWords = %d, want %d (the freed hole)", got, want)
 	}
-	if after.Used() != before.Used() {
-		t.Fatalf("Used() = %d after recovery, want %d", after.Used(), before.Used())
+	if want := before.Stats().UsedWords; st.UsedWords != want {
+		t.Fatalf("UsedWords = %d after recovery, want %d", st.UsedWords, want)
 	}
-	checkAccounting(t, after)
+	checkAccounting(t, after.Arena)
 
 	// The hole is reusable at its old address.
-	hole, err := after.Alloc(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hole != second {
+	if hole := after.alloc(16); hole != second {
 		t.Fatalf("recovered hole not reused: got %d, want %d", hole, second)
 	}
 	// Recovered blocks free normally.
-	after.Free(first)
-	if reused, _ := after.Alloc(8); reused != first {
+	after.free(first)
+	if reused := after.alloc(8); reused != first {
 		t.Fatalf("freed recovered block not recycled: got %d, want %d", reused, first)
 	}
-	_ = third
-	checkAccounting(t, after)
+	checkAccounting(t, after.Arena)
 }
 
-func TestAdoptCarvesFromFreeSpaceAndFrontier(t *testing.T) {
+func TestNewArenaRejectsOtherVersion(t *testing.T) {
 	a := newArena(t, 4096)
-	p := a.MustAlloc(8)
-	q := a.MustAlloc(4 * nvm.WordsPerLine)
-	a.Free(q) // free block of 4 lines at q
-
-	// Adopting inside the free block carves it out, leaving the remainders
-	// free.
-	inner := q + nvm.WordsPerLine
-	if err := a.Adopt(inner, nvm.WordsPerLine); err != nil {
-		t.Fatal(err)
+	a.h.Store(a.metaBase+offArenaVersion, arenaVersion+1)
+	if _, err := NewArena(a.h, a.base, a.words); !errors.Is(err, ErrVersion) {
+		t.Fatalf("NewArena over a version-%d image: err = %v, want ErrVersion", arenaVersion+1, err)
 	}
-	if a.Live() != 2 {
-		t.Fatalf("Live() = %d, want 2", a.Live())
-	}
-	if got, want := a.FreeWords(), 3*nvm.WordsPerLine; got != want {
-		t.Fatalf("FreeWords() = %d, want %d", got, want)
-	}
-	checkAccounting(t, a)
-
-	// Adopting beyond the frontier frees the gap instead of leaking it.
-	frontier := a.Used()
-	far := a.dataBase + nvm.Addr(frontier+4*nvm.WordsPerLine)
-	if err := a.Adopt(far, 8); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := a.FreeWords(), 3*nvm.WordsPerLine+4*nvm.WordsPerLine; got != want {
-		t.Fatalf("FreeWords() = %d after frontier adopt, want %d (gap freed)", got, want)
-	}
-	checkAccounting(t, a)
-	_ = p
-}
-
-// TestAdoptValidatesOverlap is the regression test for the overlap bug: Adopt
-// used to reject only exact-address duplicates, so a block overlapping a live
-// block at a different base silently corrupted the size map.
-func TestAdoptValidatesOverlap(t *testing.T) {
-	a := newArena(t, 4096)
-	big := a.MustAlloc(4 * nvm.WordsPerLine) // live, 4 lines
-
-	if err := a.Adopt(big, 8); err == nil {
-		t.Fatal("exact-duplicate adoption accepted")
-	}
-	// Overlap at a different base address: the original bug.
-	if err := a.Adopt(big+nvm.WordsPerLine, 8); err == nil {
-		t.Fatal("adoption overlapping a live block at a different base accepted")
-	}
-	// Straddling the live block's start from below (free space before it
-	// does not exist here, so this must also fail).
-	if err := a.Adopt(big, 2*nvm.WordsPerLine); err == nil {
-		t.Fatal("adoption straddling a live block accepted")
-	}
-	if err := a.Adopt(a.dataBase+nvm.Addr(a.DataWords()), 8); err == nil {
-		t.Fatal("adoption outside the arena accepted")
-	}
-	if err := a.Adopt(big+1, 8); err == nil {
-		t.Fatal("unaligned adoption accepted")
-	}
-	if a.Live() != 1 {
-		t.Fatalf("failed adoptions changed the live set: Live() = %d, want 1", a.Live())
-	}
-	checkAccounting(t, a)
 }
 
 func TestDoubleFreePanics(t *testing.T) {
 	a := newArena(t, 1024)
-	addr, _ := a.Alloc(1)
-	a.Free(addr)
+	addr := a.alloc(1)
+	a.free(addr)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on double free")
 		}
 	}()
-	a.Free(addr)
-}
-
-func TestContains(t *testing.T) {
-	a := newArena(t, 1024)
-	addr, _ := a.Alloc(1)
-	if !a.Contains(addr) {
-		t.Fatal("allocated address not inside arena")
-	}
-	if a.Contains(nvm.NilAddr) {
-		t.Fatal("nil address reported inside arena")
-	}
+	a.free(addr)
 }
 
 func TestAllocNeverOverlapsProperty(t *testing.T) {
@@ -326,96 +316,79 @@ func TestAllocNeverOverlapsProperty(t *testing.T) {
 	// frees of previously allocated blocks, live blocks never overlap and
 	// the occupancy accounting stays exact.
 	prop := func(ops []uint8) bool {
-		a := newArenaQuick(1 << 16)
-		type block struct {
-			addr  nvm.Addr
-			words int
-		}
-		var live []block
+		a := newArena(t, 1<<16)
+		var live []Block
 		for _, op := range ops {
 			if op%3 == 0 && len(live) > 0 {
 				i := int(op) % len(live)
-				a.Free(live[i].addr)
+				a.free(live[i].Addr)
 				live = append(live[:i], live[i+1:]...)
 				continue
 			}
 			size := 1 + int(op)%40
-			addr, err := a.Alloc(size)
-			if err != nil {
-				continue
-			}
-			live = append(live, block{addr, size})
-		}
-		for i := range live {
-			for j := i + 1; j < len(live); j++ {
-				aStart, aEnd := live[i].addr, live[i].addr+nvm.Addr(live[i].words)
-				bStart, bEnd := live[j].addr, live[j].addr+nvm.Addr(live[j].words)
-				if aStart < bEnd && bStart < aEnd {
-					return false
-				}
-			}
+			live = append(live, Block{a.alloc(size), size})
 		}
 		st := a.Stats()
-		return st.LiveWords+st.FreeWords == st.UsedWords
+		return !overlaps(live) && st.LiveWords+st.FreeWords == st.UsedWords
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func newArenaQuick(words int) *Arena {
-	h := nvm.NewHeap(nvm.Config{Words: words + 64, PersistLatency: nvm.NoLatency})
-	a, err := NewArenaCarved(h, words)
-	if err != nil {
-		panic(err)
+// overlaps reports whether any two blocks' size-class extents intersect.
+func overlaps(blocks []Block) bool {
+	for i, b := range blocks {
+		for _, c := range blocks[i+1:] {
+			if b.Addr < c.Addr+nvm.Addr(SizeClass(c.Words)) && c.Addr < b.Addr+nvm.Addr(SizeClass(b.Words)) {
+				return true
+			}
+		}
 	}
-	return a
+	return false
 }
 
 func TestTxLogAbortReleasesAllocations(t *testing.T) {
 	a := newArena(t, 4096)
-	l := NewTxLog(a, nil)
-	tx := &directTx{heapOf(a)}
+	l, tx := a.l, a
 	l.Begin()
 	l.Alloc(4, tx)
 	l.Alloc(4, tx)
-	if a.Live() != 2 {
-		t.Fatalf("Live() = %d, want 2", a.Live())
+	if a.Stats().Live != 2 {
+		t.Fatalf("Live = %d, want 2", a.Stats().Live)
 	}
 	l.Abort()
-	if a.Live() != 0 {
-		t.Fatalf("aborted transaction leaked %d blocks", a.Live())
+	if a.Stats().Live != 0 {
+		t.Fatalf("aborted transaction leaked %d blocks", a.Stats().Live)
 	}
 }
 
 func TestTxLogCommitAppliesDeferredFrees(t *testing.T) {
 	a := newArena(t, 4096)
-	l := NewTxLog(a, nil)
-	tx := &directTx{heapOf(a)}
+	l, tx := a.l, a
 
 	l.Begin()
 	persistent := l.Alloc(4, tx)
 	l.Commit()
-	if a.Live() != 1 {
-		t.Fatalf("Live() = %d, want 1", a.Live())
+	if a.Stats().Live != 1 {
+		t.Fatalf("Live = %d, want 1", a.Stats().Live)
 	}
 
 	l.Begin()
 	l.Free(persistent, tx)
 	// Not yet freed: the free is deferred until commit.
-	if a.Live() != 1 {
+	if a.Stats().Live != 1 {
 		t.Fatalf("free applied before commit")
 	}
 	l.Commit()
-	if a.Live() != 0 {
-		t.Fatalf("deferred free not applied at commit; %d live", a.Live())
+	if a.Stats().Live != 0 {
+		t.Fatalf("deferred free not applied at commit; %d live", a.Stats().Live)
 	}
 }
 
 func TestTxLogAbortDiscardsDeferredFrees(t *testing.T) {
 	a := newArena(t, 4096)
-	l := NewTxLog(a, nil)
-	tx := &directTx{heapOf(a)}
+	l, tx := a.l, a
 	l.Begin()
 	persistent := l.Alloc(4, tx)
 	l.Commit()
@@ -423,15 +396,14 @@ func TestTxLogAbortDiscardsDeferredFrees(t *testing.T) {
 	l.Begin()
 	l.Free(persistent, tx)
 	l.Abort()
-	if a.Live() != 1 {
-		t.Fatalf("aborted transaction's free was applied; %d live", a.Live())
+	if a.Stats().Live != 1 {
+		t.Fatalf("aborted transaction's free was applied; %d live", a.Stats().Live)
 	}
 }
 
 func TestTxLogReplayReturnsSameAddresses(t *testing.T) {
 	a := newArena(t, 4096)
-	l := NewTxLog(a, nil)
-	tx := &directTx{heapOf(a)}
+	l, tx := a.l, a
 	l.Begin()
 	first := []nvm.Addr{l.Alloc(2, tx), l.Alloc(8, tx), l.Alloc(2, tx)}
 
@@ -443,16 +415,15 @@ func TestTxLogReplayReturnsSameAddresses(t *testing.T) {
 			t.Fatalf("replayed allocation %d = %d, want %d", i, got, want)
 		}
 	}
-	if a.Live() != len(first) {
-		t.Fatalf("replay allocated fresh blocks: %d live, want %d", a.Live(), len(first))
+	if a.Stats().Live != len(first) {
+		t.Fatalf("replay allocated fresh blocks: %d live, want %d", a.Stats().Live, len(first))
 	}
 	l.Commit()
 }
 
 func TestTxLogReplayCanGrow(t *testing.T) {
 	a := newArena(t, 4096)
-	l := NewTxLog(a, nil)
-	tx := &directTx{heapOf(a)}
+	l, tx := a.l, a
 	l.Begin()
 	l.Alloc(2, tx)
 	l.BeginReplay()
@@ -461,27 +432,102 @@ func TestTxLogReplayCanGrow(t *testing.T) {
 	if extra == nvm.NilAddr {
 		t.Fatal("extra replay allocation failed")
 	}
-	if a.Live() != 2 {
-		t.Fatalf("Live() = %d, want 2", a.Live())
+	if a.Stats().Live != 2 {
+		t.Fatalf("Live = %d, want 2", a.Stats().Live)
 	}
 	l.Abort()
-	if a.Live() != 0 {
-		t.Fatalf("abort after replay leaked %d blocks", a.Live())
+	if a.Stats().Live != 0 {
+		t.Fatalf("abort after replay leaked %d blocks", a.Stats().Live)
 	}
+}
+
+// TestConcurrentTxLogs runs the arrangement the engines run — one arena, one
+// TxLog and flusher per thread — from several goroutines at once, each mixing
+// committed, aborted and replayed transactions. Every block carries its
+// owner's stamp in its first and last word while live, so a block handed to
+// two owners (or zero filled under one) shows up when it is freed; at the end
+// the survivors must not overlap and Stats must account for exactly them.
+func TestConcurrentTxLogs(t *testing.T) {
+	const workers, steps = 4, 400
+	shared := newArena(t, 1<<18)
+	survivors := make([][]Block, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := wrapArena(shared.h, shared.Arena) // this worker's flusher and TxLog
+			rng := rand.New(rand.NewSource(int64(w)))
+			stamp := func(b Block, step int) {
+				v := uint64(w+1)<<32 | uint64(step)
+				x.h.Store(b.Addr, v)
+				x.h.Store(b.Addr+nvm.Addr(b.Words-1), v)
+			}
+			var live []Block
+			for step := range steps {
+				x.l.Begin()
+				var got []Block
+				for range 1 + rng.Intn(3) {
+					words := 1 + rng.Intn(6*nvm.WordsPerLine)
+					got = append(got, Block{x.l.Alloc(words, x), words})
+				}
+				switch rng.Intn(4) {
+				case 0: // the attempt aborts: its blocks go back
+					x.l.Abort()
+					continue
+				case 1: // the body re-executes: same blocks, one fewer consumed
+					x.l.BeginReplay()
+					for i, b := range got[:len(got)-1] {
+						if again := x.l.Alloc(b.Words, x); again != b.Addr {
+							t.Errorf("worker %d step %d: replayed allocation %d at %d, want %d", w, step, i, again, b.Addr)
+						}
+					}
+					got = got[:len(got)-1]
+				}
+				// Free a few older blocks in the same transaction.
+				for range min(len(live), rng.Intn(3)) {
+					i := rng.Intn(len(live))
+					b := live[i]
+					if first, last := x.h.Load(b.Addr), x.h.Load(b.Addr+nvm.Addr(b.Words-1)); first != last || first>>32 != uint64(w+1) {
+						t.Errorf("worker %d step %d: block [%d,+%d) lost its stamp while live: %#x .. %#x", w, step, b.Addr, b.Words, first, last)
+					}
+					x.l.Free(b.Addr, x)
+					live = append(live[:i], live[i+1:]...)
+				}
+				x.commit()
+				for _, b := range got {
+					stamp(b, step)
+				}
+				live = append(live, got...)
+			}
+			survivors[w] = live
+		}()
+	}
+	wg.Wait()
+
+	var all []Block
+	liveWords := 0
+	for _, live := range survivors {
+		all = append(all, live...)
+		for _, b := range live {
+			liveWords += SizeClass(b.Words)
+		}
+	}
+	if overlaps(all) {
+		t.Fatalf("blocks live at the end overlap: %v", all)
+	}
+	if st := shared.Stats(); st.Live != len(all) || st.LiveWords != liveWords {
+		t.Fatalf("Stats() = %+v, want %d live blocks of %d words", st, len(all), liveWords)
+	}
+	checkAccounting(t, shared.Arena)
 }
 
 // TestTxLogSteadyStateAllocs pins the transactional allocation hot path at
 // zero Go allocations once warm: the persistent header writes must not put
 // closures, slices, or map growth on the Alloc/Free path.
 func TestTxLogSteadyStateAllocs(t *testing.T) {
-	h := nvm.NewHeap(nvm.Config{Words: 1 << 16, PersistLatency: nvm.NoLatency})
-	a, err := NewArenaCarved(h, 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := h.NewFlusher()
-	l := NewTxLog(a, f)
-	tx := &directTx{h}
+	a := newArena(t, 1<<14)
+	l, tx, f := a.l, a, a.f
 	cycle := func() {
 		l.Begin()
 		b1 := l.Alloc(8, tx)
@@ -497,5 +543,5 @@ func TestTxLogSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("steady-state transactional alloc/free allocated %v times per run, want 0", allocs)
 	}
-	checkAccounting(t, a)
+	checkAccounting(t, a.Arena)
 }

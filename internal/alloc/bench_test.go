@@ -8,15 +8,11 @@ import (
 
 // newBenchArena mirrors the engines' throughput configuration: no latency
 // charge, no persistence tracking, zero fill off (as the kv store runs).
-func newBenchArena(b *testing.B, words int) (*Arena, *nvm.Flusher) {
+func newBenchArena(b *testing.B, words int) *txArena {
 	b.Helper()
-	h := nvm.NewHeap(nvm.Config{Words: words + 128, PersistLatency: nvm.NoLatency})
-	a, err := NewArenaCarved(h, words)
-	if err != nil {
-		b.Fatal(err)
-	}
+	a := newArena(b, words)
 	a.SetZeroFill(false)
-	return a, h.NewFlusher()
+	return a
 }
 
 // BenchmarkAllocFree measures the steady-state transactional alloc/free pair
@@ -24,9 +20,8 @@ func newBenchArena(b *testing.B, words int) (*Arena, *nvm.Flusher) {
 // The persistent header writes ride the flusher; the fence is amortized once
 // per "transaction" as in the engines.
 func BenchmarkAllocFree(b *testing.B) {
-	a, f := newBenchArena(b, 1<<16)
-	l := NewTxLog(a, f)
-	tx := &directTx{heapOf(a)}
+	a := newBenchArena(b, 1<<16)
+	l, tx, f := a.l, a, a.f
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,12 +34,11 @@ func BenchmarkAllocFree(b *testing.B) {
 }
 
 // BenchmarkAllocFreeMixedSizes churns blocks of varying size classes so
-// class misses are served by splitting larger free blocks and frees coalesce
-// neighbors — the fragmentation path mixed-size YCSB value churn exercises.
+// class misses are served by splitting larger free blocks — the fragmentation
+// path mixed-size YCSB value churn exercises.
 func BenchmarkAllocFreeMixedSizes(b *testing.B) {
-	a, f := newBenchArena(b, 1<<16)
-	l := NewTxLog(a, f)
-	tx := &directTx{heapOf(a)}
+	a := newBenchArena(b, 1<<16)
+	l, tx, f := a.l, a, a.f
 	sizes := [4]int{8, 24, 64, 16}
 	var scratch [4]nvm.Addr
 	b.ReportAllocs()
@@ -65,13 +59,13 @@ func BenchmarkAllocFreeMixedSizes(b *testing.B) {
 // BenchmarkArenaRecover measures the header scavenge over an arena holding
 // 1k blocks with holes, the cost core.Open pays when reattaching to a heap.
 func BenchmarkArenaRecover(b *testing.B) {
-	a, _ := newBenchArena(b, 1<<18)
+	a := newBenchArena(b, 1<<18)
 	var blocks []nvm.Addr
 	for i := 0; i < 1024; i++ {
-		blocks = append(blocks, a.MustAlloc(8+8*(i%4)))
+		blocks = append(blocks, a.alloc(8+8*(i%4)))
 	}
 	for i := 0; i < len(blocks); i += 3 {
-		a.Free(blocks[i])
+		a.free(blocks[i])
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,19 +8,7 @@ import (
 
 // newTrackedArena builds an arena over a persistence-tracked heap so crashes
 // can be injected.
-func newTrackedArena(t *testing.T, words int) *Arena {
-	t.Helper()
-	h := nvm.NewHeap(nvm.Config{
-		Words:            words + 128,
-		PersistLatency:   nvm.NoLatency,
-		TrackPersistence: true,
-	})
-	a, err := NewArenaCarved(h, words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
+func newTrackedArena(t *testing.T, words int) *txArena { return newHeapArena(t, words, true) }
 
 // onlyAddrs is an adversarial crash policy that persists exactly the listed
 // outstanding words and loses every other unfenced write.
@@ -30,72 +18,55 @@ func (p onlyAddrs) Persist(a nvm.Addr) bool { return p[a] }
 
 func TestRecoverAfterCrashRebuildsState(t *testing.T) {
 	a := newTrackedArena(t, 4096)
-	h := heapOf(a)
-	blocks := []nvm.Addr{
-		a.MustAlloc(8),
-		a.MustAlloc(24),
-		a.MustAlloc(8),
-		a.MustAlloc(16),
-	}
-	a.Free(blocks[1])
-	a.Free(blocks[3])
-	liveBefore, freeBefore, usedBefore := a.LiveWords(), a.FreeWords(), a.Used()
+	blocks := []nvm.Addr{a.alloc(8), a.alloc(24), a.alloc(8), a.alloc(16)}
+	a.free(blocks[1])
+	a.free(blocks[3])
+	before := a.Stats()
 
-	// The direct Alloc/Free path drains its metadata writes, so even the
+	// Every transaction above committed and fenced its metadata, so even the
 	// most pessimistic crash preserves the allocator state exactly.
-	h.Crash(nvm.PersistNone{})
-	after := NewArena(h, a.base, a.words)
-	if after.Live() != 2 {
-		t.Fatalf("Live() = %d after recovery, want 2", after.Live())
+	a.h.Crash(nvm.PersistNone{})
+	after := a.reattach(t)
+	if got := after.Stats(); got != before || got.Live != 2 {
+		t.Fatalf("recovered occupancy %+v, want %+v (2 live blocks)", got, before)
 	}
-	if after.LiveWords() != liveBefore || after.FreeWords() != freeBefore || after.Used() != usedBefore {
-		t.Fatalf("recovered occupancy live=%d free=%d used=%d, want live=%d free=%d used=%d",
-			after.LiveWords(), after.FreeWords(), after.Used(), liveBefore, freeBefore, usedBefore)
-	}
-	checkAccounting(t, after)
+	checkAccounting(t, after.Arena)
 
 	// Freed holes are reusable at their old addresses.
-	if got, _ := after.Alloc(24); got != blocks[1] {
+	if got := after.alloc(24); got != blocks[1] {
 		t.Fatalf("recovered hole not reused: got %d, want %d", got, blocks[1])
 	}
-	if got, _ := after.Alloc(16); got != blocks[3] {
+	if got := after.alloc(16); got != blocks[3] {
 		t.Fatalf("recovered trailing hole not reused: got %d, want %d", got, blocks[3])
 	}
 }
 
 // TestRecoverQuarantinesLostFrontierHeader injects the one crash the header
 // chain cannot describe: a frontier allocation whose high-water flush
-// persisted while its header flush did not (the allocating transaction never
-// durably committed, or the adversary chose word-by-word). The scavenge must
+// persisted while its header flip did not (the allocating transaction never
+// durably committed, and the adversary chose word-by-word). The scavenge must
 // quarantine the unparseable tail rather than hand it out, and a reconciling
 // pass with the reachable set must then reclaim it exactly.
 func TestRecoverQuarantinesLostFrontierHeader(t *testing.T) {
 	a := newTrackedArena(t, 4096)
-	h := heapOf(a)
-	x1 := a.MustAlloc(8)
-	x2 := a.MustAlloc(8) // durable: the sync path drains
+	x1 := a.alloc(8)
+	x2 := a.alloc(8) // durable: committed and fenced
 
-	// An unfenced transactional-path allocation: header and high-water mark
-	// are flushed on the thread flusher but not yet fenced at the crash.
-	f := h.NewFlusher()
-	y, err := a.AllocFlush(8, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Crash(onlyAddrs{a.metaBase + offArenaHighWater: true})
+	// A transaction caught mid-flight: its header flip and the high-water
+	// mark are flushed on the thread's flusher but not yet fenced.
+	a.l.Begin()
+	y := a.l.Alloc(8, a)
+	a.h.Crash(onlyAddrs{a.metaBase + offArenaHighWater: true})
 
-	after := NewArena(h, a.base, a.words)
+	after := a.reattach(t)
 	// The tail [y, highWater) is unparseable (its header word never
 	// persisted) and must be quarantined as allocated, not freed.
-	if after.Live() != 3 {
-		t.Fatalf("Live() = %d after quarantine, want 3 (x1, x2, quarantined tail)", after.Live())
+	if st := after.Stats(); st.Live != 3 || st.FreeWords != 0 {
+		t.Fatalf("after quarantine: %d live, %d free words; want 3 live (x1, x2, the torn tail) and nothing to hand out", st.Live, st.FreeWords)
 	}
-	if after.FreeWords() != 0 {
-		t.Fatalf("FreeWords() = %d, want 0 (nothing may be handed out of the torn tail)", after.FreeWords())
-	}
-	checkAccounting(t, after)
+	checkAccounting(t, after.Arena)
 	// Nothing the arena hands out may overlap the quarantined tail.
-	if got := after.MustAlloc(8); got < y+8 {
+	if got := after.alloc(8); got < y+8 {
 		t.Fatalf("allocation at %d overlaps the quarantined tail at %d", got, y)
 	}
 
@@ -108,32 +79,31 @@ func TestRecoverQuarantinesLostFrontierHeader(t *testing.T) {
 	if rep.LiveWords != 2*8 {
 		t.Fatalf("reconciled LiveWords = %d, want 16", rep.LiveWords)
 	}
-	if rep.FreeWords != after.Used()-16 {
-		t.Fatalf("reconciled FreeWords = %d, want %d (quarantine released)", rep.FreeWords, after.Used()-16)
+	if want := after.Stats().UsedWords - 16; rep.FreeWords != want {
+		t.Fatalf("reconciled FreeWords = %d, want %d (quarantine released)", rep.FreeWords, want)
 	}
-	checkAccounting(t, after)
+	checkAccounting(t, after.Arena)
 }
 
 // TestRecoverReconcileRestoresPrematureFreeHeader injects the suffix-rollback
-// hazard: a Free's header flip persisted, but engine recovery rolled the
+// hazard: a free's header flip persisted, but engine recovery rolled the
 // freeing transaction back, so the block is still reachable. Header-only
 // scavenging sees it free; the reconciling pass must force it live again so
 // it is never handed out while the index references it.
 func TestRecoverReconcileRestoresPrematureFreeHeader(t *testing.T) {
 	a := newTrackedArena(t, 4096)
-	h := heapOf(a)
-	p := a.MustAlloc(16)
-	q := a.MustAlloc(8)
+	p := a.alloc(16)
+	q := a.alloc(8)
 
-	// Unfenced transactional free of p whose header flip the adversary
-	// chooses to persist anyway.
-	f := h.NewFlusher()
-	a.FreeFlush(p, f)
-	h.Crash(onlyAddrs{a.headerAddr(p): true})
+	// A free of p caught mid-flight, whose header flip the adversary chooses
+	// to persist anyway.
+	a.l.Begin()
+	a.l.Free(p, a)
+	a.h.Crash(onlyAddrs{a.headerAddr(p): true})
 
-	after := NewArena(h, a.base, a.words)
-	if after.FreeWords() != 16 {
-		t.Fatalf("scavenge FreeWords = %d, want 16 (premature free header visible)", after.FreeWords())
+	after := a.reattach(t)
+	if got := after.Stats().FreeWords; got != 16 {
+		t.Fatalf("scavenge FreeWords = %d, want 16 (premature free header visible)", got)
 	}
 
 	// The freeing transaction rolled back: p is still reachable.
@@ -144,14 +114,14 @@ func TestRecoverReconcileRestoresPrematureFreeHeader(t *testing.T) {
 	if rep.ForcedLive == 0 {
 		t.Fatalf("reconciliation did not report forcing the prematurely freed block live: %+v", rep)
 	}
-	if after.FreeWords() != 0 || after.LiveWords() != 24 {
-		t.Fatalf("reconciled occupancy live=%d free=%d, want live=24 free=0", after.LiveWords(), after.FreeWords())
+	if st := after.Stats(); st.FreeWords != 0 || st.LiveWords != 24 {
+		t.Fatalf("reconciled occupancy live=%d free=%d, want live=24 free=0", st.LiveWords, st.FreeWords)
 	}
 	// p must not be handed out while reachable.
-	if got := after.MustAlloc(16); got == p {
+	if got := after.alloc(16); got == p {
 		t.Fatalf("reachable block %d handed out after reconciliation", p)
 	}
-	checkAccounting(t, after)
+	checkAccounting(t, after.Arena)
 }
 
 // TestRecoverReconcileDropsUnreachableBlocks covers the converse: blocks
@@ -160,15 +130,14 @@ func TestRecoverReconcileRestoresPrematureFreeHeader(t *testing.T) {
 // lost) must return to the free lists instead of leaking.
 func TestRecoverReconcileDropsUnreachableBlocks(t *testing.T) {
 	a := newTrackedArena(t, 4096)
-	h := heapOf(a)
-	keep := a.MustAlloc(8)
-	orphan1 := a.MustAlloc(24)
-	orphan2 := a.MustAlloc(8)
+	keep := a.alloc(8)
+	orphan1 := a.alloc(24)
+	a.alloc(8)
 
-	h.Crash(nvm.PersistNone{}) // allocator metadata was drained; all survive
-	after := NewArena(h, a.base, a.words)
-	if after.Live() != 3 {
-		t.Fatalf("Live() = %d after scavenge, want 3", after.Live())
+	a.h.Crash(nvm.PersistNone{}) // every allocation was fenced; all survive
+	after := a.reattach(t)
+	if live := after.Stats().Live; live != 3 {
+		t.Fatalf("Live = %d after scavenge, want 3", live)
 	}
 
 	rep, err := after.Recover([]Block{{Addr: keep, Words: 8}})
@@ -178,23 +147,22 @@ func TestRecoverReconcileDropsUnreachableBlocks(t *testing.T) {
 	if rep.Dropped != 2 {
 		t.Fatalf("reconciliation dropped %d blocks, want 2", rep.Dropped)
 	}
-	if after.Live() != 1 || after.FreeWords() != SizeClass(24)+SizeClass(8) {
+	if st := after.Stats(); st.Live != 1 || st.FreeWords != SizeClass(24)+SizeClass(8) {
 		t.Fatalf("after reconcile: live=%d freeWords=%d, want live=1 freeWords=%d",
-			after.Live(), after.FreeWords(), SizeClass(24)+SizeClass(8))
+			st.Live, st.FreeWords, SizeClass(24)+SizeClass(8))
 	}
 	// The orphans' space is immediately reusable (coalesced into one gap).
-	if got, _ := after.Alloc(32); got != orphan1 {
+	if got := after.alloc(32); got != orphan1 {
 		t.Fatalf("reclaimed orphan space not reused: got %d, want %d", got, orphan1)
 	}
-	_ = orphan2
-	checkAccounting(t, after)
+	checkAccounting(t, after.Arena)
 }
 
 // TestRecoverRejectsOverlappingReachableSet: overlapping caller metadata must
 // fail rather than corrupt the rebuilt allocator.
 func TestRecoverRejectsOverlappingReachableSet(t *testing.T) {
 	a := newTrackedArena(t, 4096)
-	p := a.MustAlloc(32)
+	p := a.alloc(32)
 	if _, err := a.Recover([]Block{
 		{Addr: p, Words: 32},
 		{Addr: p + nvm.WordsPerLine, Words: 8},
@@ -208,33 +176,26 @@ func TestRecoverRejectsOverlappingReachableSet(t *testing.T) {
 // reconciled frontier must cover it.
 func TestRecoverCoversReachableBeyondHighWater(t *testing.T) {
 	a := newTrackedArena(t, 4096)
-	h := heapOf(a)
-	p := a.MustAlloc(8) // durable
+	p := a.alloc(8) // durable
 
-	f := h.NewFlusher()
-	q, err := a.AllocFlush(16, f)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Neither q's header nor the advanced high-water mark persists.
-	h.Crash(nvm.PersistNone{})
+	a.l.Begin()
+	q := a.l.Alloc(16, a)
+	a.h.Crash(nvm.PersistNone{})
 
-	after := NewArena(h, a.base, a.words)
-	if after.Used() != SizeClass(8) {
-		t.Fatalf("Used() = %d after crash, want %d (frontier rolled back)", after.Used(), SizeClass(8))
+	after := a.reattach(t)
+	if used := after.Stats().UsedWords; used != SizeClass(8) {
+		t.Fatalf("UsedWords = %d after crash, want %d (frontier rolled back)", used, SizeClass(8))
 	}
 	if _, err := after.Recover([]Block{{Addr: p, Words: 8}, {Addr: q, Words: 16}}); err != nil {
 		t.Fatal(err)
 	}
-	if after.Used() != SizeClass(8)+SizeClass(16) {
-		t.Fatalf("Used() = %d after reconcile, want %d", after.Used(), SizeClass(8)+SizeClass(16))
-	}
-	if after.LiveWords() != SizeClass(8)+SizeClass(16) || after.FreeWords() != 0 {
-		t.Fatalf("reconciled occupancy live=%d free=%d", after.LiveWords(), after.FreeWords())
+	if st := after.Stats(); st.UsedWords != SizeClass(8)+SizeClass(16) || st.LiveWords != st.UsedWords || st.FreeWords != 0 {
+		t.Fatalf("reconciled occupancy %+v, want %d words used, all live", st, SizeClass(8)+SizeClass(16))
 	}
 	// New allocations land past the reconciled frontier.
-	if got := after.MustAlloc(8); got < q+nvm.Addr(SizeClass(16)) {
+	if got := after.alloc(8); got < q+nvm.Addr(SizeClass(16)) {
 		t.Fatalf("allocation at %d overlaps reconciled block at %d", got, q)
 	}
-	checkAccounting(t, after)
+	checkAccounting(t, after.Arena)
 }

@@ -28,6 +28,10 @@ import "crafty/internal/nvm"
 // existing persist batching: they are fenced by the same drain or
 // hardware-transaction commit that makes the transaction's log entries
 // durable, costing the hot path no extra NVM round trips.
+//
+// Every engine thread has one, arena or not: over a nil arena the log never
+// holds a record, so Begin, BeginReplay, Commit and Abort do nothing, and
+// Alloc and Free panic with ErrNoArena.
 type TxLog struct {
 	arena   *Arena
 	flusher *nvm.Flusher
@@ -48,16 +52,20 @@ type blockRec struct {
 	hdrWord uint64
 }
 
-// NewTxLog creates an allocation log over arena. flusher is the owning
-// thread's persist handle (it fences block-header flushes at the thread's
-// transaction boundaries); nil falls back to the arena's internal synchronous
-// flusher, which drains on every operation.
+// NewTxLog creates an allocation log over arena, which is nil for an engine
+// built without one. flusher is the owning thread's persist handle: it fences
+// the arena's metadata flushes at the thread's transaction boundaries.
 func NewTxLog(arena *Arena, flusher *nvm.Flusher) *TxLog {
 	return &TxLog{arena: arena, flusher: flusher, replay: -1}
 }
 
-// Arena returns the underlying allocator.
-func (l *TxLog) Arena() *Arena { return l.arena }
+// mustArena returns the arena Alloc and Free act on.
+func (l *TxLog) mustArena() *Arena {
+	if l.arena == nil {
+		panic(ErrNoArena)
+	}
+	return l.arena
+}
 
 // Begin resets the log for a new persistent transaction.
 func (l *TxLog) Begin() {
@@ -100,7 +108,7 @@ func (l *TxLog) Alloc(words int, tx Storer) nvm.Addr {
 }
 
 func (l *TxLog) liveAlloc(words int, tx Storer) nvm.Addr {
-	addr, class, hdrAddr, hdrWord := l.arena.allocTx(words, l.flusher)
+	addr, class, hdrAddr, hdrWord := l.mustArena().allocTx(words, l.flusher)
 	l.allocs = append(l.allocs, blockRec{addr: addr, class: class, hdrAddr: hdrAddr, hdrWord: hdrWord})
 	tx.Store(hdrAddr, hdrWord)
 	return addr
@@ -110,7 +118,7 @@ func (l *TxLog) liveAlloc(words int, tx Storer) nvm.Addr {
 // through tx immediately: the flip commits (and rolls back) with the
 // transaction, while the block's return to the free lists waits for Commit.
 func (l *TxLog) Free(addr nvm.Addr, tx Storer) {
-	class, hdrAddr, hdrWord := l.arena.freeHeaderFor(addr)
+	class, hdrAddr, hdrWord := l.mustArena().freeHeaderFor(addr)
 	l.frees = append(l.frees, blockRec{addr: addr, class: class, hdrAddr: hdrAddr, hdrWord: hdrWord})
 	tx.Store(hdrAddr, hdrWord)
 }
@@ -146,6 +154,3 @@ func (l *TxLog) Commit() {
 	l.frees = l.frees[:0]
 	l.replay = -1
 }
-
-// Allocated reports how many allocations the current transaction has made.
-func (l *TxLog) Allocated() int { return len(l.allocs) }

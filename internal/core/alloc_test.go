@@ -118,8 +118,8 @@ func TestAtomicAllocFreeSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state alloc/free transaction allocated %v times per run, want 0", allocs)
 	}
-	if a := eng.Arena(); a.Live() != 0 {
-		t.Fatalf("committed alloc/free transactions leaked %d blocks", a.Live())
+	if live := eng.Arena().Stats().Live; live != 0 {
+		t.Fatalf("committed alloc/free transactions leaked %d blocks", live)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestReopenRecoversArenaState(t *testing.T) {
 	if err := th.SyncDurable(); err != nil {
 		t.Fatal(err)
 	}
-	usedBefore := eng.Arena().Used()
+	usedBefore := eng.Arena().Stats().UsedWords
 
 	heap.Crash(nvm.PersistAll{})
 	report, err := Recover(heap, layout)
@@ -181,12 +181,12 @@ func TestReopenRecoversArenaState(t *testing.T) {
 	defer eng2.Close()
 	eng2.AdvanceClock(report.MaxTimestamp)
 
-	a := eng2.Arena()
-	if a.Live() != 1 || a.LiveWords() != 16 {
-		t.Fatalf("recovered arena: %d live blocks (%d words), want 1 (16)", a.Live(), a.LiveWords())
+	st := eng2.Arena().Stats()
+	if st.Live != 1 || st.LiveWords != 16 {
+		t.Fatalf("recovered arena: %d live blocks (%d words), want 1 (16)", st.Live, st.LiveWords)
 	}
-	if a.FreeWords() != 24 || a.Used() != usedBefore {
-		t.Fatalf("recovered arena: free %d used %d, want free 24 used %d", a.FreeWords(), a.Used(), usedBefore)
+	if st.FreeWords != 24 || st.UsedWords != usedBefore {
+		t.Fatalf("recovered arena: free %d used %d, want free 24 used %d", st.FreeWords, st.UsedWords, usedBefore)
 	}
 	// The freed hole is immediately reusable through a new transaction.
 	th2, err := eng2.RegisterThread()

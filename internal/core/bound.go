@@ -129,10 +129,7 @@ func (t *Thread) forceDelinquents(needAbove uint64) {
 		if u.log.lastTS() > needAbove {
 			continue
 		}
-		ts := t.eng.hw.TimestampNow()
-		if u.forceEmpty(t.flusher, ts) {
-			u.lastCommittedTS.Store(ts)
-		}
+		u.forceEmpty(t.flusher, t.eng.hw.TimestampNow())
 	}
 }
 
@@ -171,7 +168,6 @@ func (t *Thread) SyncDurable() error {
 	for {
 		ts := t.eng.hw.TimestampNow()
 		if t.forceEmpty(t.flusher, ts) {
-			t.lastCommittedTS.Store(ts)
 			return nil
 		}
 		// forceEmpty declines only when the log is full and its first half

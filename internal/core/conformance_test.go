@@ -13,9 +13,9 @@ import (
 // packages this covers all eight engines.
 
 func conformanceFactory(cfg Config) ptmtest.Factory {
-	return func(heap *nvm.Heap) (ptm.Engine, error) {
+	return func(heap *nvm.Heap, arenaWords int) (ptm.Engine, error) {
 		cfg.LogEntries = 1 << 12
-		cfg.ArenaWords = 1 << 16
+		cfg.ArenaWords = arenaWords
 		return NewEngine(heap, cfg)
 	}
 }

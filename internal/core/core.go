@@ -266,7 +266,10 @@ func Open(heap *nvm.Heap, layout Layout, cfg Config) (*Engine, error) {
 		metrics:         new(Metrics),
 	}
 	if layout.ArenaWords > 0 {
-		e.arena = alloc.NewArena(heap, layout.ArenaBase, layout.ArenaWords)
+		var err error
+		if e.arena, err = alloc.NewArena(heap, layout.ArenaBase, layout.ArenaWords); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
 }
@@ -364,10 +367,8 @@ func (e *Engine) RegisterThread() (*Thread, error) {
 		hw:      hwThread,
 		log:     log,
 		flusher: flusher,
+		txAlloc: alloc.NewTxLog(e.arena, flusher),
 		ro:      ptm.ROTx{Heap: e.heap},
-	}
-	if e.arena != nil {
-		t.txAlloc = alloc.NewTxLog(e.arena, flusher)
 	}
 	e.threads = append(e.threads, t)
 	e.workers.Store(int32(len(e.threads)))

@@ -391,8 +391,8 @@ func TestAllocAndFreeInsideTransactions(t *testing.T) {
 	if node == nvm.NilAddr || heap.Load(node) != 1234 {
 		t.Fatalf("allocated node not linked or not initialized: addr=%d", node)
 	}
-	if eng.Arena().Live() != 1 {
-		t.Fatalf("arena live blocks = %d, want 1", eng.Arena().Live())
+	if eng.Arena().Stats().Live != 1 {
+		t.Fatalf("arena live blocks = %d, want 1", eng.Arena().Stats().Live)
 	}
 
 	// Free it again in a second transaction.
@@ -404,8 +404,8 @@ func TestAllocAndFreeInsideTransactions(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Arena().Live() != 0 {
-		t.Fatalf("arena live blocks = %d after free, want 0", eng.Arena().Live())
+	if eng.Arena().Stats().Live != 0 {
+		t.Fatalf("arena live blocks = %d after free, want 0", eng.Arena().Stats().Live)
 	}
 }
 
@@ -419,8 +419,8 @@ func TestAbandonedTransactionReleasesAllocations(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	if eng.Arena().Live() != 0 {
-		t.Fatalf("abandoned transaction leaked %d blocks", eng.Arena().Live())
+	if eng.Arena().Stats().Live != 0 {
+		t.Fatalf("abandoned transaction leaked %d blocks", eng.Arena().Stats().Live)
 	}
 }
 
@@ -473,7 +473,7 @@ func TestAllocationsSurviveValidateReplayUnderContention(t *testing.T) {
 	if count != goroutines*perThread {
 		t.Fatalf("list has %d nodes, want %d", count, goroutines*perThread)
 	}
-	if live := eng.Arena().Live(); live != goroutines*perThread {
+	if live := eng.Arena().Stats().Live; live != goroutines*perThread {
 		t.Fatalf("arena has %d live blocks, want %d (leak from retries)", live, goroutines*perThread)
 	}
 }

@@ -135,9 +135,7 @@ func (t *Thread) redoPhase(a *attempt) htm.AbortCause {
 func (t *Thread) validatePhase(body func(tx ptm.Tx) error, a *attempt) htm.AbortCause {
 	a.sglBusy = false
 	a.validationFailed = false
-	if t.txAlloc != nil {
-		t.txAlloc.BeginReplay()
-	}
+	t.txAlloc.BeginReplay()
 	cause := t.hw.Run(func(hwtx *htm.Tx) {
 		if hwtx.Load(t.eng.sglAddr) != 0 {
 			a.sglBusy = true

@@ -49,17 +49,11 @@ func (c *collectTx) Store(addr nvm.Addr, val uint64) {
 
 // Alloc implements ptm.Tx.
 func (c *collectTx) Alloc(words int) nvm.Addr {
-	if c.t.txAlloc == nil {
-		panic("core: Tx.Alloc requires Config.ArenaWords > 0")
-	}
 	return c.t.txAlloc.Alloc(words, c)
 }
 
 // Free implements ptm.Tx.
 func (c *collectTx) Free(addr nvm.Addr) {
-	if c.t.txAlloc == nil {
-		panic("core: Tx.Free requires Config.ArenaWords > 0")
-	}
 	c.t.txAlloc.Free(addr, c)
 }
 
@@ -82,9 +76,7 @@ func (t *Thread) runSGL(body func(tx ptm.Tx) error) error {
 	writes, commitTS, err := t.chunkedExecute(body)
 	if err != nil {
 		if errors.Is(err, ptm.ErrTxTooLarge) {
-			if t.txAlloc != nil {
-				t.txAlloc.Abort()
-			}
+			t.txAlloc.Abort()
 			return err
 		}
 		return t.abandon(err)
@@ -95,12 +87,9 @@ func (t *Thread) runSGL(body func(tx ptm.Tx) error) error {
 	// validates (or restarts) instead of applying a stale redo log.
 	t.eng.hw.NonTxStore(t.eng.gLastRedoTSAddr, commitTS)
 
-	if t.txAlloc != nil {
-		t.txAlloc.Commit()
-	}
+	t.txAlloc.Commit()
 	t.outcomes[ptm.OutcomeSGL]++
 	t.writes += uint64(writes)
-	t.lastCommittedTS.Store(commitTS)
 	t.checkLag(commitTS)
 	return nil
 }
@@ -112,25 +101,18 @@ func (t *Thread) runSGL(body func(tx ptm.Tx) error) error {
 func (t *Thread) atomicThreadUnsafe(body func(tx ptm.Tx) error) error {
 	t.inUse.Store(true)
 	defer t.inUse.Store(false)
-	if t.txAlloc != nil {
-		t.txAlloc.Begin()
-	}
+	t.txAlloc.Begin()
 	writes, commitTS, err := t.chunkedExecute(body)
 	if err != nil {
 		if errors.Is(err, ptm.ErrTxTooLarge) {
-			if t.txAlloc != nil {
-				t.txAlloc.Abort()
-			}
+			t.txAlloc.Abort()
 			return err
 		}
 		return t.abandon(err)
 	}
-	if t.txAlloc != nil {
-		t.txAlloc.Commit()
-	}
+	t.txAlloc.Commit()
 	t.outcomes[ptm.OutcomeSGL]++
 	t.writes += uint64(writes)
-	t.lastCommittedTS.Store(commitTS)
 	t.checkLag(commitTS)
 	return nil
 }

@@ -78,11 +78,6 @@ type Thread struct {
 	ro         ptm.ROTx
 	flushLines []uint64
 
-	// lastCommittedTS publishes the timestamp of this thread's most recent
-	// committed (or forced empty) sequence for the Section 5.2 bound
-	// maintenance performed by other threads.
-	lastCommittedTS atomic.Uint64
-
 	// inUse is true while the thread is executing a persistent transaction.
 	inUse atomic.Bool
 
@@ -112,10 +107,6 @@ func (t *Thread) Stats() ptm.Stats {
 
 // Slot returns the thread's log directory slot (used by tests).
 func (t *Thread) Slot() int { return t.slot }
-
-// LastCommittedTS returns the timestamp of the thread's most recent committed
-// sequence (0 if none).
-func (t *Thread) LastCommittedTS() uint64 { return t.lastCommittedTS.Load() }
 
 // txMode distinguishes the two phases that execute the transaction body.
 type txMode int
@@ -172,17 +163,11 @@ func (c *craftyTx) Store(addr nvm.Addr, val uint64) {
 
 // Alloc implements ptm.Tx.
 func (c *craftyTx) Alloc(words int) nvm.Addr {
-	if c.t.txAlloc == nil {
-		panic("core: Tx.Alloc requires Config.ArenaWords > 0")
-	}
 	return c.t.txAlloc.Alloc(words, c)
 }
 
 // Free implements ptm.Tx.
 func (c *craftyTx) Free(addr nvm.Addr) {
-	if c.t.txAlloc == nil {
-		panic("core: Tx.Free requires Config.ArenaWords > 0")
-	}
 	c.t.txAlloc.Free(addr, c)
 }
 
@@ -196,9 +181,7 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 	}
 	t.inUse.Store(true)
 	defer t.inUse.Store(false)
-	if t.txAlloc != nil {
-		t.txAlloc.Begin()
-	}
+	t.txAlloc.Begin()
 
 	failures := 0
 
@@ -370,18 +353,14 @@ func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) error {
 // engine's per-transaction capacity, releasing any allocations the attempts
 // made. The returned error wraps ptm.ErrTxTooLarge; no write was published.
 func (t *Thread) failTooLarge(writes int) error {
-	if t.txAlloc != nil {
-		t.txAlloc.Abort()
-	}
+	t.txAlloc.Abort()
 	return fmt.Errorf("core: %d-write transaction exceeds the %d-entry undo log: %w",
 		writes, t.log.capEntries, ptm.ErrTxTooLarge)
 }
 
 // abandon discards the transaction after the body returned an error.
 func (t *Thread) abandon(userErr error) error {
-	if t.txAlloc != nil {
-		t.txAlloc.Abort()
-	}
+	t.txAlloc.Abort()
 	t.userAborts++
 	return fmt.Errorf("%w: %w", ptm.ErrAborted, userErr)
 }
@@ -391,24 +370,15 @@ func (t *Thread) abandon(userErr error) error {
 // allocated by the previous execution is replayed so repeated executions of
 // the body neither leak nor observe fresh addresses.
 func (t *Thread) prepareRetry() {
-	if t.txAlloc != nil {
-		t.txAlloc.BeginReplay()
-	}
+	t.txAlloc.BeginReplay()
 }
 
 // finishCommit records a committed transaction's statistics and performs the
 // lazy Section 5.2 bound maintenance.
 func (t *Thread) finishCommit(outcome ptm.Outcome, a *attempt) {
-	if t.txAlloc != nil {
-		t.txAlloc.Commit()
-	}
+	t.txAlloc.Commit()
 	t.outcomes[outcome]++
 	t.writes += uint64(a.writes)
-	if a.commitTS != 0 {
-		t.lastCommittedTS.Store(a.commitTS)
-	} else if a.lastTS != 0 {
-		t.lastCommittedTS.Store(a.lastTS)
-	}
 	if !a.readOnly && a.lastTS != 0 {
 		t.checkLag(a.lastTS)
 	}

@@ -163,11 +163,6 @@ func (tx *Tx) Store(addr nvm.Addr, val uint64) {
 	tx.writes.put(addr, val)
 }
 
-// WriteSetSize reports how many distinct words this transaction has written
-// so far. Crafty's thread-unsafe mode uses it to chunk transactions into at
-// most k persistent writes.
-func (tx *Tx) WriteSetSize() int { return tx.writes.size() }
-
 // StoreCommitTS buffers a write to addr whose value is computed, at commit
 // time, as (commitTS << shift) | orBits, where commitTS is the transaction's
 // commit timestamp (the value this commit publishes into the global version

@@ -385,8 +385,7 @@ func TestApplyInPlaceUpdateKeepsArenaFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	liveBefore := eng.Arena().LiveWords()
-	usedBefore := eng.Arena().Used()
+	before := eng.Arena().Stats()
 	var ops []Op
 	var res []OpResult
 	for round := 0; round < 20; round++ {
@@ -405,11 +404,12 @@ func TestApplyInPlaceUpdateKeepsArenaFlat(t *testing.T) {
 			}
 		}
 	}
-	if live := eng.Arena().LiveWords(); live != liveBefore {
-		t.Fatalf("live words %d -> %d across in-place updates", liveBefore, live)
+	after := eng.Arena().Stats()
+	if after.LiveWords != before.LiveWords {
+		t.Fatalf("live words %d -> %d across in-place updates", before.LiveWords, after.LiveWords)
 	}
-	if used := eng.Arena().Used(); used != usedBefore {
-		t.Fatalf("high-water %d -> %d across in-place updates", usedBefore, used)
+	if after.UsedWords != before.UsedWords {
+		t.Fatalf("high-water %d -> %d across in-place updates", before.UsedWords, after.UsedWords)
 	}
 	for i := 0; i < 16; i++ {
 		v, ok, err := s.Get(th, fmt.Appendf(nil, "key-%02d", i), nil)

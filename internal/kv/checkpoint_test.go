@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -409,8 +408,7 @@ func TestVerifyFailureOnDirtyShardIsFatal(t *testing.T) {
 // so "fixed dirty set" presumes fixed shard size — the shard count scales
 // with capacity, exactly as a deployment sizes it — and recovery work is
 // then O(dirty shards), independent of the store behind them. The ratio is
-// asserted (loosely here, tightly in CI via RECOVERY_SMOKE=1) and written as
-// BENCH_recovery.json when BENCH_RECOVERY_OUT is set.
+// asserted (loosely here, tightly in CI via RECOVERY_SMOKE=1) and logged.
 func TestRecoveryScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery scaling measurement")
@@ -462,23 +460,6 @@ func TestRecoveryScaling(t *testing.T) {
 		smallT, smallRep.VerifiedShards, smallRep.Shards,
 		largeT, largeRep.VerifiedShards, largeRep.Shards, ratio)
 
-	if out := os.Getenv("BENCH_RECOVERY_OUT"); out != "" {
-		data, _ := json.MarshalIndent(map[string]any{
-			"bench":                "bounded_recovery_scaling",
-			"small_keys":           4000,
-			"large_keys":           64000,
-			"small_reopen_ns":      smallT.Nanoseconds(),
-			"large_reopen_ns":      largeT.Nanoseconds(),
-			"ratio":                ratio,
-			"small_verified_shard": smallRep.VerifiedShards,
-			"large_verified_shard": largeRep.VerifiedShards,
-			"small_shards":         smallRep.Shards,
-			"large_shards":         largeRep.Shards,
-		}, "", "  ")
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			t.Fatalf("writing %s: %v", out, err)
-		}
-	}
 	// The CI smoke job asserts the acceptance bound; locally allow headroom
 	// for noisy machines but still catch O(store) regressions (a linear
 	// reopen would show ratio ~16).

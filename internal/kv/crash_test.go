@@ -328,7 +328,7 @@ func TestCrashRecoveryLeakFreeCycles(t *testing.T) {
 			t.Fatalf("cycle %d: reopen: %v", cycle, err)
 		}
 		checkArenaAccounting(t, eng2)
-		used = append(used, eng2.Arena().Used())
+		used = append(used, eng2.Arena().Stats().UsedWords)
 		churn(eng2.Register(), s2, int64(cycle+2))
 		eng.Close()
 		eng = eng2

@@ -102,11 +102,9 @@ func (e *Engine) Register() ptm.Thread {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t := &Thread{eng: e, hw: e.hw.NewThread(int64(len(e.threads))), ro: ptm.ROTx{Heap: e.heap}}
-	if e.arena != nil {
-		// The hardware thread's flusher fences the arena's block-header
-		// flushes at HTM commits; the engine itself persists nothing.
-		t.txAlloc = alloc.NewTxLog(e.arena, t.hw.Flusher())
-	}
+	// The hardware thread's flusher fences the arena's block-header flushes
+	// at HTM commits; the engine itself persists nothing.
+	t.txAlloc = alloc.NewTxLog(e.arena, t.hw.Flusher())
 	e.threads = append(e.threads, t)
 	return t
 }
@@ -161,16 +159,10 @@ func (x *tx) Store(addr nvm.Addr, val uint64) {
 }
 
 func (x *tx) Alloc(words int) nvm.Addr {
-	if x.th.txAlloc == nil {
-		panic("nondurable: Tx.Alloc requires Config.ArenaWords > 0")
-	}
 	return x.th.txAlloc.Alloc(words, x)
 }
 
 func (x *tx) Free(addr nvm.Addr) {
-	if x.th.txAlloc == nil {
-		panic("nondurable: Tx.Free requires Config.ArenaWords > 0")
-	}
 	x.th.txAlloc.Free(addr, x)
 }
 
@@ -209,24 +201,16 @@ func (x *sglTx) apply() {
 }
 
 func (x *sglTx) Alloc(words int) nvm.Addr {
-	if x.th.txAlloc == nil {
-		panic("nondurable: Tx.Alloc requires Config.ArenaWords > 0")
-	}
 	return x.th.txAlloc.Alloc(words, x)
 }
 
 func (x *sglTx) Free(addr nvm.Addr) {
-	if x.th.txAlloc == nil {
-		panic("nondurable: Tx.Free requires Config.ArenaWords > 0")
-	}
 	x.th.txAlloc.Free(addr, x)
 }
 
 // Atomic implements ptm.Thread.
 func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
-	if t.txAlloc != nil {
-		t.txAlloc.Begin()
-	}
+	t.txAlloc.Begin()
 	for attempt := 0; attempt <= t.eng.cfg.MaxRetries; attempt++ {
 		var userErr error
 		var writes int
@@ -247,9 +231,7 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 		if cause == htm.CauseNone {
 			return t.commit(writes, ptm.OutcomeHTM)
 		}
-		if t.txAlloc != nil {
-			t.txAlloc.BeginReplay()
-		}
+		t.txAlloc.BeginReplay()
 	}
 
 	// Single-global-lock fallback.
@@ -271,18 +253,14 @@ func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) error {
 }
 
 func (t *Thread) commit(writes int, outcome ptm.Outcome) error {
-	if t.txAlloc != nil {
-		t.txAlloc.Commit()
-	}
+	t.txAlloc.Commit()
 	t.outcomes[outcome]++
 	t.writes += uint64(writes)
 	return nil
 }
 
 func (t *Thread) abandon(err error) error {
-	if t.txAlloc != nil {
-		t.txAlloc.Abort()
-	}
+	t.txAlloc.Abort()
 	t.userAborts++
 	return fmt.Errorf("%w: %w", ptm.ErrAborted, err)
 }

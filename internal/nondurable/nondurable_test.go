@@ -11,8 +11,8 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	ptmtest.Run(t, func(heap *nvm.Heap) (ptm.Engine, error) {
-		return nondurable.NewEngine(heap, nondurable.Config{ArenaWords: 1 << 14})
+	ptmtest.Run(t, func(heap *nvm.Heap, arenaWords int) (ptm.Engine, error) {
+		return nondurable.NewEngine(heap, nondurable.Config{ArenaWords: arenaWords})
 	})
 }
 
@@ -20,9 +20,9 @@ func TestSGLFallbackConformance(t *testing.T) {
 	// With every hardware transaction spuriously aborting, all transactions
 	// must complete through the single-global-lock fallback and still be
 	// atomic.
-	ptmtest.Run(t, func(heap *nvm.Heap) (ptm.Engine, error) {
+	ptmtest.Run(t, func(heap *nvm.Heap, arenaWords int) (ptm.Engine, error) {
 		return nondurable.NewEngine(heap, nondurable.Config{
-			ArenaWords: 1 << 14,
+			ArenaWords: arenaWords,
 			MaxRetries: 1,
 			HTM:        htm.Config{SpuriousAbortProb: 1.0},
 		})

@@ -232,9 +232,7 @@ func (e *Engine) Register() ptm.Thread {
 		ro:      ptm.ROTx{Heap: e.heap},
 	}
 	t.flusher = t.hw.Flusher()
-	if e.arena != nil {
-		t.txAlloc = alloc.NewTxLog(e.arena, t.flusher)
-	}
+	t.txAlloc = alloc.NewTxLog(e.arena, t.flusher)
 	e.threads = append(e.threads, t)
 	return t
 }

@@ -10,8 +10,8 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	ptmtest.Run(t, func(heap *nvm.Heap) (ptm.Engine, error) {
-		return nvhtm.NewEngine(heap, nvhtm.Config{ArenaWords: 1 << 14})
+	ptmtest.Run(t, func(heap *nvm.Heap, arenaWords int) (ptm.Engine, error) {
+		return nvhtm.NewEngine(heap, nvhtm.Config{ArenaWords: arenaWords})
 	})
 }
 

@@ -77,24 +77,16 @@ func (x *tx) Store(addr nvm.Addr, val uint64) {
 }
 
 func (x *tx) Alloc(words int) nvm.Addr {
-	if x.th.txAlloc == nil {
-		panic("nvhtm: Tx.Alloc requires Config.ArenaWords > 0")
-	}
 	return x.th.txAlloc.Alloc(words, x)
 }
 
 func (x *tx) Free(addr nvm.Addr) {
-	if x.th.txAlloc == nil {
-		panic("nvhtm: Tx.Free requires Config.ArenaWords > 0")
-	}
 	x.th.txAlloc.Free(addr, x)
 }
 
 // Atomic implements ptm.Thread.
 func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
-	if t.txAlloc != nil {
-		t.txAlloc.Begin()
-	}
+	t.txAlloc.Begin()
 	for attempt := 0; attempt <= t.eng.cfg.MaxRetries; attempt++ {
 		t.writeAddrs = t.writeAddrs[:0]
 		t.writeVals = t.writeVals[:0]
@@ -133,16 +125,12 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 			return t.failTooLarge()
 		}
 		if cause != htm.CauseNone {
-			if t.txAlloc != nil {
-				t.txAlloc.BeginReplay()
-			}
+			t.txAlloc.BeginReplay()
 			continue
 		}
 		if len(t.writeAddrs) == 0 {
 			t.outcomes[ptm.OutcomeHTM]++
-			if t.txAlloc != nil {
-				t.txAlloc.Commit()
-			}
+			t.txAlloc.Commit()
 			return nil
 		}
 		if !t.eng.cfg.GlobalClockInHTM {
@@ -202,9 +190,7 @@ func (t *Thread) persistAndClose(commitTS uint64, outcome ptm.Outcome) {
 	copy(addrs, t.writeAddrs)
 	t.eng.queue <- closedTxn{ts: commitTS, addrs: addrs}
 
-	if t.txAlloc != nil {
-		t.txAlloc.Commit()
-	}
+	t.txAlloc.Commit()
 	t.outcomes[outcome]++
 	t.writes += uint64(len(t.writeAddrs))
 }
@@ -213,9 +199,7 @@ func (t *Thread) persistAndClose(commitTS uint64, outcome ptm.Outcome) {
 func (t *Thread) runSGL(body func(tx ptm.Tx) error) error {
 	t.eng.hw.AcquireSGL(t.eng.sglAddr)
 	defer t.eng.hw.ReleaseSGL(t.eng.sglAddr)
-	if t.txAlloc != nil {
-		t.txAlloc.BeginReplay()
-	}
+	t.txAlloc.BeginReplay()
 	t.writeAddrs = t.writeAddrs[:0]
 	t.writeVals = t.writeVals[:0]
 	t.tooLarge = false
@@ -233,9 +217,7 @@ func (t *Thread) runSGL(body func(tx ptm.Tx) error) error {
 	}
 	if len(t.writeAddrs) == 0 {
 		t.outcomes[ptm.OutcomeSGL]++
-		if t.txAlloc != nil {
-			t.txAlloc.Commit()
-		}
+		t.txAlloc.Commit()
 		return nil
 	}
 	ts := t.eng.hw.TimestampNow()
@@ -277,23 +259,15 @@ func (x *sglTx) Store(addr nvm.Addr, val uint64) {
 }
 
 func (x *sglTx) Alloc(words int) nvm.Addr {
-	if x.th.txAlloc == nil {
-		panic("nvhtm: Tx.Alloc requires Config.ArenaWords > 0")
-	}
 	return x.th.txAlloc.Alloc(words, x)
 }
 
 func (x *sglTx) Free(addr nvm.Addr) {
-	if x.th.txAlloc == nil {
-		panic("nvhtm: Tx.Free requires Config.ArenaWords > 0")
-	}
 	x.th.txAlloc.Free(addr, x)
 }
 
 func (t *Thread) abandon(err error) error {
-	if t.txAlloc != nil {
-		t.txAlloc.Abort()
-	}
+	t.txAlloc.Abort()
 	t.userAborts++
 	return fmt.Errorf("%w: %w", ptm.ErrAborted, err)
 }
@@ -302,9 +276,7 @@ func (t *Thread) abandon(err error) error {
 // region; nothing was persisted or published.
 func (t *Thread) failTooLarge() error {
 	t.tooLarge = false
-	if t.txAlloc != nil {
-		t.txAlloc.Abort()
-	}
+	t.txAlloc.Abort()
 	return fmt.Errorf("%s: transaction exceeds the %d-word redo log: %w",
 		t.eng.cfg.Name, t.logCap, ptm.ErrTxTooLarge)
 }

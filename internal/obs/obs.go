@@ -270,9 +270,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 // owned by another subsystem).
 func (r *Registry) RegisterCounter(name string, c *Counter) { r.add(entry{name: name, c: c}) }
 
-// RegisterGauge registers an existing gauge.
-func (r *Registry) RegisterGauge(name string, g *Gauge) { r.add(entry{name: name, g: g}) }
-
 // RegisterHistogram registers an existing histogram.
 func (r *Registry) RegisterHistogram(name string, h *Histogram) { r.add(entry{name: name, h: h}) }
 

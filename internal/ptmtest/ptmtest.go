@@ -13,13 +13,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"crafty/internal/alloc"
 	"crafty/internal/nvm"
 	"crafty/internal/ptm"
 )
 
-// Factory builds a fresh engine over the given heap. The engine must support
-// Tx.Alloc (configure a non-zero arena).
-type Factory func(heap *nvm.Heap) (ptm.Engine, error)
+// Factory builds a fresh engine over the given heap with an allocation arena
+// of arenaWords words (Config.ArenaWords); zero builds it without one.
+type Factory func(heap *nvm.Heap, arenaWords int) (ptm.Engine, error)
 
 // Run executes the full conformance suite against engines built by factory.
 func Run(t *testing.T, factory Factory) {
@@ -31,6 +32,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("NoLostUpdates", func(t *testing.T) { testNoLostUpdates(t, factory) })
 	t.Run("BankConservation", func(t *testing.T) { testBankConservation(t, factory) })
 	t.Run("AllocLifecycle", func(t *testing.T) { testAlloc(t, factory) })
+	t.Run("NoArena", func(t *testing.T) { testNoArena(t, factory) })
 	t.Run("StatsCount", func(t *testing.T) { testStats(t, factory) })
 	t.Run("AtomicReadSeesCommitted", func(t *testing.T) { testAtomicReadSeesCommitted(t, factory) })
 	t.Run("AtomicReadRejectsMutation", func(t *testing.T) { testAtomicReadRejectsMutation(t, factory) })
@@ -48,8 +50,13 @@ func newHeap(t *testing.T) *nvm.Heap {
 
 func build(t *testing.T, factory Factory) (ptm.Engine, *nvm.Heap) {
 	t.Helper()
+	return buildWithArena(t, factory, 1<<16)
+}
+
+func buildWithArena(t *testing.T, factory Factory, arenaWords int) (ptm.Engine, *nvm.Heap) {
+	t.Helper()
 	heap := newHeap(t)
-	eng, err := factory(heap)
+	eng, err := factory(heap, arenaWords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +255,49 @@ func testAlloc(t *testing.T, factory Factory) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// testNoArena checks an engine built with ArenaWords == 0: transactions that
+// do not allocate commit normally, and Tx.Alloc and Tx.Free fail the same way
+// under every engine — a panic with alloc.ErrNoArena out of Atomic — leaving
+// the thread usable.
+func testNoArena(t *testing.T, factory Factory) {
+	eng, heap := buildWithArena(t, factory, 0)
+	data := heap.MustCarve(8)
+	th := eng.Register()
+	store := func(v uint64) {
+		t.Helper()
+		if err := th.Atomic(func(tx ptm.Tx) error {
+			tx.Store(data, v)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var got uint64
+		if err := th.AtomicRead(func(tx ptm.Tx) error {
+			got = tx.Load(data)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got != v {
+			t.Fatalf("AtomicRead saw %d, want %d", got, v)
+		}
+	}
+	store(1)
+	for name, body := range map[string]func(tx ptm.Tx) error{
+		"Alloc": func(tx ptm.Tx) error { tx.Alloc(4); return nil },
+		"Free":  func(tx ptm.Tx) error { tx.Free(data); return nil },
+	} {
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			return th.Atomic(body)
+		}()
+		if r != alloc.ErrNoArena {
+			t.Fatalf("Tx.%s without an arena: Atomic ended with %v, want a panic with alloc.ErrNoArena", name, r)
+		}
+	}
+	store(2)
 }
 
 // testAtomicReadSeesCommitted checks that a read-only transaction observes

@@ -104,9 +104,7 @@ func (e *Engine) Register() ptm.Thread {
 		ro:      ptm.ROTx{Heap: e.heap},
 		buffer:  make(map[nvm.Addr]uint64, 32),
 	}
-	if e.arena != nil {
-		t.txAlloc = alloc.NewTxLog(e.arena, t.flusher)
-	}
+	t.txAlloc = alloc.NewTxLog(e.arena, t.flusher)
 	e.threads = append(e.threads, t)
 	return t
 }
@@ -184,16 +182,10 @@ func (x *tx) Store(addr nvm.Addr, val uint64) {
 }
 
 func (x *tx) Alloc(words int) nvm.Addr {
-	if x.th.txAlloc == nil {
-		panic("redolog: Tx.Alloc requires Config.ArenaWords > 0")
-	}
 	return x.th.txAlloc.Alloc(words, x)
 }
 
 func (x *tx) Free(addr nvm.Addr) {
-	if x.th.txAlloc == nil {
-		panic("redolog: Tx.Free requires Config.ArenaWords > 0")
-	}
 	x.th.txAlloc.Free(addr, x)
 }
 
@@ -201,24 +193,18 @@ func (x *tx) Free(addr nvm.Addr) {
 func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 	t.eng.lock.Lock()
 	defer t.eng.lock.Unlock()
-	if t.txAlloc != nil {
-		t.txAlloc.Begin()
-	}
+	t.txAlloc.Begin()
 	clear(t.buffer)
 	t.order = t.order[:0]
 
 	x := &tx{th: t}
 	if err := body(x); err != nil {
-		if t.txAlloc != nil {
-			t.txAlloc.Abort()
-		}
+		t.txAlloc.Abort()
 		t.userAborts++
 		return fmt.Errorf("%w: %w", ptm.ErrAborted, err)
 	}
 	if x.tooLarge {
-		if t.txAlloc != nil {
-			t.txAlloc.Abort()
-		}
+		t.txAlloc.Abort()
 		return fmt.Errorf("redolog: transaction exceeds the %d-word log: %w", t.logCap, ptm.ErrTxTooLarge)
 	}
 
@@ -247,9 +233,7 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 	}
 	t.flusher.Drain()
 
-	if t.txAlloc != nil {
-		t.txAlloc.Commit()
-	}
+	t.txAlloc.Commit()
 	t.outcomes[ptm.OutcomeSGL]++
 	t.writes += uint64(len(t.order))
 	return nil

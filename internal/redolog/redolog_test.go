@@ -10,8 +10,8 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	ptmtest.Run(t, func(heap *nvm.Heap) (ptm.Engine, error) {
-		return redolog.NewEngine(heap, redolog.Config{ArenaWords: 1 << 14})
+	ptmtest.Run(t, func(heap *nvm.Heap, arenaWords int) (ptm.Engine, error) {
+		return redolog.NewEngine(heap, redolog.Config{ArenaWords: arenaWords})
 	})
 }
 

@@ -64,7 +64,6 @@ type Replica struct {
 	connected  atomic.Bool
 	reconnects atomic.Uint64
 	snapshots  atomic.Uint64
-	lastErr    atomic.Value // string
 }
 
 // NewReplica builds a replica endpoint; call Run (usually `go r.Run()`).
@@ -106,14 +105,6 @@ func (r *Replica) Reconnects() uint64 { return r.reconnects.Load() }
 
 // Snapshots counts snapshot resyncs received.
 func (r *Replica) Snapshots() uint64 { return r.snapshots.Load() }
-
-// LastErr returns the most recent session error, for REPLINFO.
-func (r *Replica) LastErr() string {
-	if s, ok := r.lastErr.Load().(string); ok {
-		return s
-	}
-	return ""
-}
 
 // Stop ends the reconnect loop and closes any live connection.
 func (r *Replica) Stop() {
@@ -164,7 +155,6 @@ func (r *Replica) Run() {
 		err := r.session()
 		r.connected.Store(false)
 		if err != nil {
-			r.lastErr.Store(err.Error())
 			r.logf("repl: replica session: %v", err)
 		} else {
 			bo.Reset()

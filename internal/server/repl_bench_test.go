@@ -1,8 +1,7 @@
 // Replication bench smoke: a primary/replica pair in one process under a
-// sustained write load, emitting a JSON artifact with stream throughput and
-// lag numbers. Gated on REPL_SMOKE=1 (CI runs it and keeps the artifact so
-// regressions in replication throughput or catch-up time are visible across
-// runs); BENCH_REPL_OUT names the output file, default BENCH_repl.json.
+// sustained write load, logging stream throughput and lag numbers and
+// failing unless the stream completes and a replicated SYNC fences. Gated on
+// REPL_SMOKE=1 (CI runs it).
 package server
 
 import (
@@ -105,11 +104,4 @@ func TestReplBenchSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("repl bench: %s", out)
-	path := os.Getenv("BENCH_REPL_OUT")
-	if path == "" {
-		path = "BENCH_repl.json"
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }

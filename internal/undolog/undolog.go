@@ -104,9 +104,7 @@ func (e *Engine) Register() ptm.Thread {
 		logCap:  e.cfg.LogWords,
 		ro:      ptm.ROTx{Heap: e.heap},
 	}
-	if e.arena != nil {
-		t.txAlloc = alloc.NewTxLog(e.arena, t.flusher)
-	}
+	t.txAlloc = alloc.NewTxLog(e.arena, t.flusher)
 	e.threads = append(e.threads, t)
 	return t
 }
@@ -191,16 +189,10 @@ func (x *tx) Store(addr nvm.Addr, val uint64) {
 }
 
 func (x *tx) Alloc(words int) nvm.Addr {
-	if x.th.txAlloc == nil {
-		panic("undolog: Tx.Alloc requires Config.ArenaWords > 0")
-	}
 	return x.th.txAlloc.Alloc(words, x)
 }
 
 func (x *tx) Free(addr nvm.Addr) {
-	if x.th.txAlloc == nil {
-		panic("undolog: Tx.Free requires Config.ArenaWords > 0")
-	}
 	x.th.txAlloc.Free(addr, x)
 }
 
@@ -208,9 +200,7 @@ func (x *tx) Free(addr nvm.Addr) {
 func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 	t.eng.lock.Lock()
 	defer t.eng.lock.Unlock()
-	if t.txAlloc != nil {
-		t.txAlloc.Begin()
-	}
+	t.txAlloc.Begin()
 	x := &tx{th: t}
 	err := body(x)
 	if err != nil || x.tooLarge {
@@ -221,9 +211,7 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 			t.flusher.Flush(x.undo[i])
 		}
 		t.flusher.Drain()
-		if t.txAlloc != nil {
-			t.txAlloc.Abort()
-		}
+		t.txAlloc.Abort()
 		if err == nil {
 			return fmt.Errorf("undolog: transaction exceeds the %d-word log: %w", t.logCap, ptm.ErrTxTooLarge)
 		}
@@ -242,9 +230,7 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 	t.flusher.Drain()
 	t.logHead += 2
 
-	if t.txAlloc != nil {
-		t.txAlloc.Commit()
-	}
+	t.txAlloc.Commit()
 	t.outcomes[ptm.OutcomeSGL]++
 	t.writes += uint64(len(x.undo))
 	return nil
