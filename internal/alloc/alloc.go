@@ -801,10 +801,6 @@ func (a *Arena) AssertLive(blocks []Block) error {
 	return nil
 }
 
-// DataWords reports the allocatable capacity of the arena (the region size
-// minus the persistent metadata overhead).
-func (a *Arena) DataWords() int { return a.dataLines * nvm.WordsPerLine }
-
 // Stats is a snapshot of allocator occupancy.
 type Stats struct {
 	Live       int // allocated blocks

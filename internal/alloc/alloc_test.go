@@ -137,8 +137,8 @@ func TestAllocZeroesRecycledBlocks(t *testing.T) {
 func TestAllocInvalidAndExhausted(t *testing.T) {
 	// 4 lines total: one metadata line, one header line, two data lines.
 	a := newArena(t, 4*nvm.WordsPerLine)
-	if got := a.DataWords(); got != 2*nvm.WordsPerLine {
-		t.Fatalf("DataWords() = %d, want %d", got, 2*nvm.WordsPerLine)
+	if got := a.Stats().DataWords; got != 2*nvm.WordsPerLine {
+		t.Fatalf("Stats().DataWords = %d, want %d", got, 2*nvm.WordsPerLine)
 	}
 	mustPanicWith(t, ErrInvalidSize, func() { a.alloc(0) })
 	mustPanicWith(t, ErrInvalidSize, func() { a.alloc(-5) })

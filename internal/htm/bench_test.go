@@ -101,3 +101,47 @@ func BenchmarkHTMReadLine(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkHTMLogShape is one core.logPhase for a 100-byte PUT as the
+// emulation sees it: 19 persistent writes — 13 value words in 2 lines, then 6
+// scattered words (slot, header counters, allocator headers) — each a load of
+// the old value, an undo entry of two consecutive log words, and the store in
+// place; then the rollback pass in reverse (load the new value for the redo
+// log, store the old one back), and the commit. 57 distinct words in 13 lines.
+func BenchmarkHTMLogShape(b *testing.B) {
+	e := benchEngine(b, 1<<16)
+	th := e.NewThread(1)
+	log := e.Heap().MustCarve(8 * nvm.WordsPerLine)
+	value := e.Heap().MustCarve(2*nvm.WordsPerLine) + 3 // 5 words of one line, 8 of the next
+	scattered := e.Heap().MustCarve(6 * nvm.WordsPerLine)
+	var data [19]nvm.Addr
+	for i := range data {
+		if i < 13 {
+			data[i] = value + nvm.Addr(i)
+		} else {
+			data[i] = scattered + nvm.Addr((i-13)*nvm.WordsPerLine+i%nvm.WordsPerLine)
+		}
+	}
+	var old [len(data)]uint64
+	var sink uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cause := th.Run(func(tx *Tx) {
+			for k, addr := range data {
+				old[k] = tx.Load(addr)
+				tx.Store(log+nvm.Addr(2*k), uint64(addr))
+				tx.Store(log+nvm.Addr(2*k+1), old[k])
+				tx.Store(addr, uint64(i))
+			}
+			for k := len(data) - 1; k >= 0; k-- {
+				sink += tx.Load(data[k])
+				tx.Store(data[k], old[k])
+			}
+		})
+		if cause != CauseNone {
+			b.Fatalf("uncontended transaction aborted: %v", cause)
+		}
+	}
+	_ = sink
+}

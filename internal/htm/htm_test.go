@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -494,6 +495,208 @@ func TestSameLineInvariantNeverTorn(t *testing.T) {
 	// Doomed attempts are checked word by word like committed ones, so a run
 	// in which the writers never let the reader commit still tested the path.
 	t.Logf("reader outcomes: %+v", reader.Stats())
+}
+
+// The per-line write set (txset.go): one entry per written line, a mask of
+// the words buffered in it, published entry by entry.
+
+// TestLoadOfUnwrittenWordInWrittenLineIsValidated: having written word 0 of a
+// line does not make the line's other words the transaction's own. A load of
+// word 1 comes from the snapshot and enters the line in the read set, so a
+// commit to word 1 in between must abort the transaction, not be overwritten
+// by a writer that never saw it.
+func TestLoadOfUnwrittenWordInWrittenLineIsValidated(t *testing.T) {
+	e := newEngine(t, 1024, Config{})
+	t1, t2 := e.NewThread(1), e.NewThread(2)
+	line := nvm.Addr(5 * nvm.WordsPerLine)
+	cause := t1.Run(func(tx *Tx) {
+		tx.Store(line, 1)
+		seen := tx.Load(line + 1)
+		runUntilCommit(t, t2, func(tx *Tx) { tx.Store(line+1, 99) })
+		tx.Store(line+2, seen)
+	})
+	if cause != CauseConflict {
+		t.Fatalf("cause = %v, want %v", cause, CauseConflict)
+	}
+	if got := [3]uint64{e.Heap().Load(line), e.Heap().Load(line + 1), e.Heap().Load(line + 2)}; got != [3]uint64{0, 99, 0} {
+		t.Fatalf("line holds %v, want [0 99 0]: the aborted writer published", got)
+	}
+}
+
+// TestSameLineBlindWritersBothSurvive pins "publish only the masked words":
+// two threads write disjoint words of one line and read nothing, so neither
+// conflicts with the other's data, and each word must end at its own thread's
+// last value. An entry published whole would carry the other word's stale
+// buffer over it.
+func TestSameLineBlindWritersBothSurvive(t *testing.T) {
+	e := newEngine(t, 1024, Config{})
+	line := nvm.Addr(7 * nvm.WordsPerLine)
+	const commits = 2000
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(word nvm.Addr) {
+			defer wg.Done()
+			th := e.NewThread(int64(word) + 1)
+			for i := uint64(1); i <= commits; i++ {
+				runUntilCommit(t, th, func(tx *Tx) { tx.Store(line+word, i<<8|uint64(word)) })
+			}
+		}(nvm.Addr(w))
+	}
+	wg.Wait()
+	for w := nvm.Addr(0); w < nvm.WordsPerLine; w++ {
+		want := uint64(0)
+		if w < 2 {
+			want = commits<<8 | uint64(w)
+		}
+		if got := e.Heap().Load(line + w); got != want {
+			t.Fatalf("word %d = %#x, want %#x", w, got, want)
+		}
+	}
+}
+
+// TestCapacityCountsDeferredOnlyLines: a line entered only by StoreCommitTS is
+// a written line against MaxWriteLines, and the abort fires on the call that
+// makes one line too many, whichever kind of store it is.
+func TestCapacityCountsDeferredOnlyLines(t *testing.T) {
+	e := newEngine(t, 1<<16, Config{MaxWriteLines: 4})
+	th := e.NewThread(1)
+	lineAddr := func(i int) nvm.Addr { return nvm.Addr((8 + i) * nvm.WordsPerLine) }
+
+	step := 0
+	cause := th.Run(func(tx *Tx) {
+		for i := 0; i < 4; i++ {
+			tx.Store(lineAddr(i), 1)
+			tx.StoreCommitTS(lineAddr(i)+1, 0, 0) // a written line: no new capacity
+		}
+		step = 1
+		tx.StoreCommitTS(lineAddr(4), 0, 0)
+		step = 2
+	})
+	if cause != CauseCapacity || step != 1 {
+		t.Fatalf("4 plain lines + 1 deferred line: cause = %v at step %d, want capacity at the deferred store", cause, step)
+	}
+
+	step = 0
+	cause = th.Run(func(tx *Tx) {
+		tx.StoreCommitTS(lineAddr(0), 0, 0)
+		for i := 1; i < 4; i++ {
+			tx.Store(lineAddr(i), 1)
+		}
+		step = 1
+		tx.Store(lineAddr(4), 1)
+		step = 2
+	})
+	if cause != CauseCapacity || step != 1 {
+		t.Fatalf("1 deferred line + 4 plain lines: cause = %v at step %d, want capacity at the fifth line", cause, step)
+	}
+	if cause := th.Run(func(tx *Tx) {
+		tx.StoreCommitTS(lineAddr(0), 0, 0)
+		for i := 1; i < 4; i++ {
+			tx.Store(lineAddr(i), 1)
+		}
+	}); cause != CauseNone {
+		t.Fatalf("exactly MaxWriteLines lines: cause = %v, want commit", cause)
+	}
+}
+
+// TestCommitTimestampStore: a deferred store's value is built from the commit
+// timestamp, it wins over the body's plain stores to its word whichever came
+// first, the line's other buffered words are published beside it, and until
+// commit the word reads as the body last left it.
+func TestCommitTimestampStore(t *testing.T) {
+	e := newEngine(t, 1024, Config{})
+	th := e.NewThread(1)
+	line := nvm.Addr(9 * nvm.WordsPerLine)
+	e.NonTxStore(line+3, 5)
+	runUntilCommit(t, th, func(tx *Tx) {
+		tx.Store(line, 11)
+		tx.StoreCommitTS(line, 1, 1)     // after a plain store to the word
+		tx.StoreCommitTS(line+1, 0, 0)   // before one
+		tx.StoreCommitTS(line+3, 0, 0)   // a word never stored to
+		tx.StoreCommitTS(line+8, 4, 0xf) // a line of its own
+		tx.Store(line+1, 22)
+		tx.Store(line+2, 33)
+		if a, b, c := tx.Load(line), tx.Load(line+1), tx.Load(line+3); a != 11 || b != 22 || c != 5 {
+			t.Errorf("before commit the words read %d, %d, %d, want 11, 22, 5", a, b, c)
+		}
+	})
+	ts := th.CommitTS()
+	want := map[nvm.Addr]uint64{line: ts<<1 | 1, line + 1: ts, line + 2: 33, line + 3: ts, line + 4: 0, line + 8: ts<<4 | 0xf, line + 9: 0}
+	for a, w := range want {
+		if got := e.Heap().Load(a); got != w {
+			t.Errorf("word %d = %#x, want %#x (commit timestamp %d)", a, got, w, ts)
+		}
+	}
+}
+
+// TestStoreBadAddressPublishesNothing: a store to the nil address, or past the
+// heap, is the body's fault and faults in the body. Raised from commit it
+// would leave the stores before it published, the ones after it not, and the
+// lines locked so far locked for good — all of which a caller that recovers
+// from Run's panic would then go on to use.
+func TestStoreBadAddressPublishesNothing(t *testing.T) {
+	const words = 1024
+	for _, bad := range []nvm.Addr{nvm.NilAddr, words, words + 3*nvm.WordsPerLine} {
+		e := newEngine(t, words, Config{})
+		th := e.NewThread(1)
+		base := nvm.Addr(3 * nvm.WordsPerLine)
+		reached := false
+		func() {
+			defer func() {
+				r := recover()
+				if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "out of range") {
+					t.Fatalf("bad address %d: Run panicked with %v, want nvm's address error", bad, r)
+				}
+			}()
+			th.Run(func(tx *Tx) {
+				tx.Store(base, 7)
+				tx.Store(bad, 1)
+				reached = true
+				tx.Store(base+nvm.WordsPerLine, 9)
+			})
+			t.Fatalf("bad address %d: Run returned", bad)
+		}()
+		if reached {
+			t.Fatalf("bad address %d: the body ran on past the store", bad)
+		}
+		if a, b := e.Heap().Load(base), e.Heap().Load(base+nvm.WordsPerLine); a != 0 || b != 0 {
+			t.Fatalf("bad address %d: words hold %d and %d, want both unpublished", bad, a, b)
+		}
+		for line := range e.locks {
+			if lw := e.locks[line].Load(); isLocked(lw) {
+				t.Fatalf("bad address %d: line %d left locked (%#x)", bad, line, lw)
+			}
+		}
+		if n := e.activeCommitters.Load(); n != 0 {
+			t.Fatalf("bad address %d: activeCommitters = %d, want 0", bad, n)
+		}
+		runUntilCommit(t, th, func(tx *Tx) { tx.Store(base, tx.Load(base)+1) })
+		if got := e.Heap().Load(base); got != 1 {
+			t.Fatalf("bad address %d: the thread's next transaction left %d, want 1", bad, got)
+		}
+	}
+
+	// A line admitted by a good word does not vouch for its bad ones: word 0
+	// beside word 1, the tail of a partial last line beside its head.
+	e := newEngine(t, 1024+4, Config{})
+	th := e.NewThread(1)
+	for _, pair := range [][2]nvm.Addr{{1, nvm.NilAddr}, {1024 + 3, 1024 + 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("store to %d after %d did not fault", pair[1], pair[0])
+				}
+			}()
+			th.Run(func(tx *Tx) {
+				tx.Store(pair[0], 7)
+				tx.Store(pair[1], 1)
+			})
+		}()
+		if got := e.Heap().Load(pair[0]); got != 0 {
+			t.Fatalf("store to %d after %d: the good word was published (%d)", pair[1], pair[0], got)
+		}
+	}
 }
 
 // TestSerializabilityProperty runs randomized increments over a small set of

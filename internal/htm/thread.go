@@ -153,7 +153,7 @@ func (t *Thread) Run(body func(tx *Tx)) (cause AbortCause) {
 	inBody = false
 	tx.commit()
 	t.commits.Add(1)
-	if tx.writes.size() == 0 && len(tx.deferred) == 0 {
+	if tx.writes.size() == 0 {
 		t.readOnly.Add(1)
 	}
 	return CauseNone

@@ -34,11 +34,10 @@ type Tx struct {
 	lastLine uint64
 	lastLock uint64
 
-	// writes buffers the transaction's stores in program order; writeLines
-	// tracks the distinct cache lines written for locking and the capacity
-	// bound.
-	writes     writeSet
-	writeLines lineSet
+	// writes buffers the transaction's stores, one entry per written cache
+	// line: the read-own-write probe, the capacity bound, the commit's lock
+	// order and its publication all read this one set.
+	writes writeSet
 
 	// deferred holds stores whose values are derived from the commit
 	// timestamp at commit time (see StoreCommitTS).
@@ -60,7 +59,8 @@ type Tx struct {
 // not allocate a closure; it covers every use in this module (raw timestamps
 // and the undo log's shifted-timestamp-plus-wrap-bit marker payloads).
 type deferredStore struct {
-	addr  nvm.Addr
+	buf   int32 // the write-set entry of the word's line
+	word  uint8 // the word's position in that line
 	shift uint8
 	or    uint64
 }
@@ -73,7 +73,6 @@ func (tx *Tx) reset(t *Thread) {
 	tx.readVersion = t.eng.globalVersion.Load()
 	tx.readLines.reset()
 	tx.lastLine = noLine
-	tx.writeLines.reset()
 	tx.writes.reset()
 	tx.deferred = tx.deferred[:0]
 }
@@ -110,13 +109,18 @@ const noLine = ^uint64(0)
 // published nothing).
 func (tx *Tx) Load(addr nvm.Addr) uint64 {
 	// A read-only attempt has buffered nothing; asking first spares it the
-	// write-set probe, which is a call per load.
-	if tx.writes.size() != 0 {
-		if val, ok := tx.writes.get(addr); ok {
-			return val
+	// write-set probe. An unwritten word of a written line comes from the
+	// snapshot like any other, and its line joins the read set.
+	line := nvm.LineOf(addr)
+	if w := &tx.writes; w.size() != 0 {
+		i := w.recent(line)
+		if i < 0 {
+			i = w.lines.index(line)
+		}
+		if i >= 0 && w.bufs[i].mask>>wordOf(addr)&1 != 0 {
+			return w.bufs[i].vals[wordOf(addr)]
 		}
 	}
-	line := nvm.LineOf(addr)
 	lk := tx.eng.lineLock(line)
 	if line == tx.lastLine {
 		val := tx.eng.heap.Load(addr)
@@ -134,7 +138,7 @@ func (tx *Tx) Load(addr nvm.Addr) uint64 {
 	if lk.Load() != before {
 		tx.abort(CauseConflict)
 	}
-	if tx.readLines.add(line) && tx.readLines.size() > tx.eng.cfg.MaxReadLines {
+	if _, fresh := tx.readLines.add(line); fresh && tx.readLines.size() > tx.eng.cfg.MaxReadLines {
 		tx.abort(CauseCapacity)
 	}
 	tx.lastLine, tx.lastLock = line, before
@@ -156,11 +160,22 @@ func (tx *Tx) snapshotValid() bool {
 // Store buffers a write of val to the word at addr. The write becomes visible
 // to other threads, atomically with the transaction's other writes, only if
 // the attempt commits.
+//
+// The address is checked here, as it is buffered, and not again when commit
+// publishes it: a bad one is the body's fault and is raised in the body, with
+// no line locked and nothing published. The check is per word, as Heap.Store's
+// is — a line admitted by one good word does not vouch for its others (word 0
+// beside words 1–7, the tail of a heap's partial last line).
 func (tx *Tx) Store(addr nvm.Addr, val uint64) {
-	if tx.writeLines.add(nvm.LineOf(addr)) && tx.writeLines.size() > tx.eng.cfg.MaxWriteLines {
-		tx.abort(CauseCapacity)
+	tx.eng.heap.Check(addr)
+	i := tx.writes.recent(nvm.LineOf(addr))
+	if i < 0 {
+		i = tx.writes.entry(nvm.LineOf(addr))
+		if tx.writes.size() > tx.eng.cfg.MaxWriteLines {
+			tx.abort(CauseCapacity)
+		}
 	}
-	tx.writes.put(addr, val)
+	tx.writes.bufs[i].set(wordOf(addr), val)
 }
 
 // StoreCommitTS buffers a write to addr whose value is computed, at commit
@@ -174,10 +189,14 @@ func (tx *Tx) Store(addr nvm.Addr, val uint64) {
 // commit order. The caller observes the drawn timestamp itself through
 // Thread.CommitTS after Run returns.
 func (tx *Tx) StoreCommitTS(addr nvm.Addr, shift uint8, orBits uint64) {
-	if tx.writeLines.add(nvm.LineOf(addr)) && tx.writeLines.size() > tx.eng.cfg.MaxWriteLines {
+	// The line is written — counted here, locked at commit — though its
+	// entry's mask does not say so until the value exists.
+	tx.eng.heap.Check(addr)
+	i := tx.writes.entry(nvm.LineOf(addr))
+	if tx.writes.size() > tx.eng.cfg.MaxWriteLines {
 		tx.abort(CauseCapacity)
 	}
-	tx.deferred = append(tx.deferred, deferredStore{addr: addr, shift: shift, or: orBits})
+	tx.deferred = append(tx.deferred, deferredStore{buf: int32(i), word: uint8(wordOf(addr)), shift: shift, or: orBits})
 }
 
 // unlockLines releases the line locks in tx.lockedBuf, preserving each line's
@@ -192,7 +211,7 @@ func (tx *Tx) unlockLines() {
 // commit publishes the write set atomically, or aborts with CauseConflict if
 // the read set can no longer be validated against the snapshot.
 func (tx *Tx) commit() {
-	if tx.writes.size() == 0 && len(tx.deferred) == 0 {
+	if tx.writes.size() == 0 {
 		// Read-only transactions are trivially serializable at their snapshot.
 		tx.thread.flusher.Fence()
 		tx.commitTS = tx.eng.globalVersion.Load()
@@ -207,7 +226,7 @@ func (tx *Tx) commit() {
 
 	// Acquire the versioned locks of all written lines in address order to
 	// avoid deadlock between concurrent committers.
-	tx.lineBuf = append(tx.lineBuf[:0], tx.writeLines.dense...)
+	tx.lineBuf = append(tx.lineBuf[:0], tx.writes.lines.dense...)
 	slices.Sort(tx.lineBuf)
 
 	tx.lockedBuf = tx.lockedBuf[:0]
@@ -245,23 +264,25 @@ func (tx *Tx) commit() {
 	// newer than the snapshot and not locked by another committer.
 	for _, line := range tx.readLines.dense {
 		cur := tx.eng.lineLock(line).Load()
-		if tx.writeLines.contains(line) {
-			if versionOf(cur) > tx.readVersion {
-				tx.unlockLines()
-				tx.abort(CauseConflict)
-			}
-			continue
-		}
-		if isLocked(cur) || versionOf(cur) > tx.readVersion {
+		// A lock on a read line is a conflict unless it is this commit's own;
+		// the write set is asked only about lines found locked.
+		if versionOf(cur) > tx.readVersion || (isLocked(cur) && tx.writes.lines.index(line) < 0) {
 			tx.unlockLines()
 			tx.abort(CauseConflict)
 		}
 	}
 
-	// Publish the writes and stamp the written lines with a fresh version.
-	tx.eng.heap.StoreAll(tx.writes.addrs, tx.writes.vals)
+	// Publish the writes, line by line in first-touch order, and stamp the
+	// written lines with a fresh version. The deferred stores are masked in
+	// first, over whatever the body buffered for their words, so they win as
+	// if published last. Program order between lines is not kept and cannot
+	// be missed: every written line is locked until the last is published.
 	for _, d := range tx.deferred {
-		tx.eng.heap.Store(d.addr, writeVersion<<d.shift|d.or)
+		tx.writes.bufs[d.buf].set(uint(d.word), writeVersion<<d.shift|d.or)
+	}
+	for i := range tx.writes.bufs {
+		b := &tx.writes.bufs[i]
+		tx.eng.heap.StoreLine(tx.writes.lines.dense[i], b.mask, &b.vals)
 	}
 	for _, line := range tx.lineBuf {
 		tx.eng.lineLock(line).Store(packVersion(writeVersion))

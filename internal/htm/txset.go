@@ -4,10 +4,13 @@ import "crafty/internal/nvm"
 
 // This file implements the purpose-built read/write-set containers behind the
 // emulated hardware transaction data path (see DESIGN.md, "Transaction set
-// containers"). The general-purpose Go map is the wrong tool for that path:
-// it allocates on construction, hashes through an interface-shaped runtime
-// call, and can only be cleared by reallocation or iteration. The containers
-// here are shaped by how the emulation actually uses its sets:
+// containers"). RTM tracks both sets per cache line, and so do these: the read
+// set is a set of line indices, the write set maps a line index to the words
+// of that line the attempt has buffered. The general-purpose Go map is the
+// wrong tool for that path: it allocates on construction, hashes through an
+// interface-shaped runtime call, and can only be cleared by reallocation or
+// iteration. The containers here are shaped by how the emulation actually
+// uses its sets:
 //
 //   - a transaction attempt begins with empty sets and must become ready for
 //     the next attempt in O(1) (attempts retry in a tight loop on conflict),
@@ -18,10 +21,13 @@ import "crafty/internal/nvm"
 //     array linearly while the set is small and only spill into an
 //     open-addressed, power-of-two probe table when it grows past
 //     setLinearMax entries;
-//   - commit needs to iterate the set in a stable order (write publication in
-//     program order, line locking in sorted order), so every member is also
-//     kept in a dense insertion-order slice, which doubles as the linear-scan
-//     fast path and as the source for rehashing.
+//   - stores arrive as runs inside a line, and the Log phase alternates
+//     between two lines (the undo entry it is appending, the datum it is
+//     overwriting), so the write set asks the two entries it used last before
+//     it scans or hashes;
+//   - commit locks the written lines in sorted order, so every member is also
+//     kept in a dense first-touch-order slice, which doubles as the
+//     linear-scan fast path and as the source for rehashing.
 //
 // Neither container is safe for concurrent use; each belongs to exactly one
 // transaction attempt, which belongs to exactly one thread.
@@ -32,7 +38,7 @@ import "crafty/internal/nvm"
 const setLinearMax = 8
 
 // hash64 is the 64-bit finalizer of MurmurHash3; cheap and good enough to
-// keep linear-probe clusters short for line indices and word addresses.
+// keep linear-probe clusters short for line indices.
 func hash64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -42,15 +48,17 @@ func hash64(x uint64) uint64 {
 	return x
 }
 
-// lineSlot is one probe-table slot of a lineSet. A slot holds a valid entry
-// only if its epoch matches the set's current epoch.
+// lineSlot is one probe-table slot of a lineSet, mapping a line to its index
+// in the dense slice. A slot holds a valid entry only if its epoch matches the
+// set's current epoch.
 type lineSlot struct {
 	key   uint64
 	epoch uint64
+	idx   int32
 }
 
-// lineSet is a reusable set of cache-line indices (the transaction's read set
-// and written-lines set).
+// lineSet is a reusable set of cache-line indices: the transaction's read
+// set, and the keys of its write set.
 type lineSet struct {
 	dense []uint64 // members in insertion order; also the linear fast path
 	slots []lineSlot
@@ -69,63 +77,64 @@ func (s *lineSet) reset() {
 // size returns the number of members.
 func (s *lineSet) size() int { return len(s.dense) }
 
-// contains reports whether key is a member.
-func (s *lineSet) contains(key uint64) bool {
+// index returns key's position in the dense slice, or -1 if it is no member.
+func (s *lineSet) index(key uint64) int {
 	if len(s.dense) <= setLinearMax {
-		for _, k := range s.dense {
+		for i, k := range s.dense {
 			if k == key {
-				return true
+				return i
 			}
 		}
-		return false
+		return -1
 	}
 	for i := hash64(key) & s.mask; ; i = (i + 1) & s.mask {
 		sl := &s.slots[i]
 		if sl.epoch != s.epoch {
-			return false
+			return -1
 		}
 		if sl.key == key {
-			return true
+			return int(sl.idx)
 		}
 	}
 }
 
-// add inserts key, reporting whether it was absent.
-func (s *lineSet) add(key uint64) bool {
+// add inserts key if it is absent, returning its position in the dense slice
+// and whether it was.
+func (s *lineSet) add(key uint64) (idx int, fresh bool) {
 	n := len(s.dense)
 	if n <= setLinearMax {
-		for _, k := range s.dense {
+		for i, k := range s.dense {
 			if k == key {
-				return false
+				return i, false
 			}
 		}
-		if n < setLinearMax {
-			s.dense = append(s.dense, key)
-			return true
+		if n == setLinearMax {
+			// Crossing the linear-scan threshold: spill into the probe table.
+			s.rehash()
 		}
-		// Crossing the linear-scan threshold: spill into the probe table.
-		s.rehash()
 	} else if 4*(n+1) > 3*len(s.slots) {
 		s.rehash()
 	}
-	if !s.tableAdd(key) {
-		return false
+	if n >= setLinearMax {
+		if i := s.tableAdd(key, n); i != n {
+			return i, false
+		}
 	}
 	s.dense = append(s.dense, key)
-	return true
+	return n, true
 }
 
-// tableAdd inserts key into the probe table if absent, reporting whether it
-// inserted.
-func (s *lineSet) tableAdd(key uint64) bool {
+// tableAdd enters key into the probe table as the member at idx unless it is
+// there already, and returns the index the table holds for it.
+func (s *lineSet) tableAdd(key uint64, idx int) int {
 	for i := hash64(key) & s.mask; ; i = (i + 1) & s.mask {
 		sl := &s.slots[i]
 		if sl.epoch != s.epoch {
-			sl.key, sl.epoch = key, s.epoch
-			return true
+			sl.key, sl.idx, sl.epoch = key, int32(idx), s.epoch
+			return idx
 		}
 		if sl.key == key {
-			return false
+			return int(sl.idx)
 		}
 	}
 }
@@ -147,114 +156,82 @@ func (s *lineSet) rehash() {
 		s.mask = uint64(capSlots - 1)
 	}
 	s.epoch++
-	for _, k := range s.dense {
-		s.tableAdd(k)
+	for i, k := range s.dense {
+		s.tableAdd(k, i)
 	}
 }
 
-// writeSlot is one probe-table slot of a writeSet, mapping a word address to
-// its index in the dense arrays.
-type writeSlot struct {
-	key   nvm.Addr
-	idx   int32
-	epoch uint64
+// lineWrite is what a transaction has buffered for one cache line: which of
+// its words (bit k of mask: word k) and their values. A line entered for a
+// deferred commit-timestamp store alone has an empty mask until commit.
+type lineWrite struct {
+	mask uint8
+	vals [nvm.WordsPerLine]uint64
 }
 
-// writeSet is a reusable ordered map from word address to buffered value: the
-// transaction's write set. Insertion order is preserved (addrs/vals), so
-// publishing vals[i] to addrs[i] in order replays the program's stores with
-// later writes to the same address winning via in-place update.
+// set buffers val for word k of the line, over any earlier value.
+func (b *lineWrite) set(k uint, val uint64) {
+	b.vals[k] = val
+	b.mask |= 1 << k
+}
+
+// writeSet is the transaction's write set: a reusable map from cache line to
+// the words buffered for it, one entry per written line in first-touch order
+// (lines.dense[i] is buffered in bufs[i]). A later store to a word overwrites
+// the earlier one in place, so an entry is what commit publishes for its line.
 type writeSet struct {
-	addrs []nvm.Addr // insertion order; also the linear fast path
-	vals  []uint64
-	slots []writeSlot
-	mask  uint64
-	epoch uint64
+	lines lineSet
+	bufs  []lineWrite
+
+	// The two entries used last — the Log phase alternates between two — are
+	// asked before the scan or probe: mruLine names their lines, mruIdx their
+	// indices, and mruLine[lru] is the one used less recently.
+	mruLine [2]uint64
+	mruIdx  [2]int32
+	lru     uint8
 }
 
 // reset empties the write set in O(1), retaining all backing storage.
 func (w *writeSet) reset() {
-	w.epoch++
-	w.addrs = w.addrs[:0]
-	w.vals = w.vals[:0]
+	w.lines.reset()
+	w.bufs = w.bufs[:0]
+	w.mruLine = [2]uint64{noLine, noLine}
 }
 
-// size returns the number of distinct buffered addresses.
-func (w *writeSet) size() int { return len(w.addrs) }
+// size returns the number of distinct written lines.
+func (w *writeSet) size() int { return len(w.bufs) }
 
-// get returns the buffered value for addr, if any.
-func (w *writeSet) get(addr nvm.Addr) (uint64, bool) {
-	if i := w.index(addr); i >= 0 {
-		return w.vals[i], true
+// recent returns the index of line's entry if it is one of the two used last,
+// or -1. It is small enough to inline into Load and Store, which go on to
+// lines.index or entry — a call each — only when it says -1.
+func (w *writeSet) recent(line uint64) int {
+	if w.mruLine[0] == line {
+		w.lru = 1
+		return int(w.mruIdx[0])
 	}
-	return 0, false
+	if w.mruLine[1] == line {
+		w.lru = 0
+		return int(w.mruIdx[1])
+	}
+	return -1
 }
 
-// index returns the dense index of addr, or -1.
-func (w *writeSet) index(addr nvm.Addr) int {
-	if len(w.addrs) <= setLinearMax {
-		for i, a := range w.addrs {
-			if a == addr {
-				return i
-			}
-		}
-		return -1
+// entry returns the index of line's entry for a store, when recent does not
+// know the line: an unwritten line is admitted with nothing buffered for it
+// yet (size grows by one). Either way the entry takes the older recent place;
+// a load that misses recent asks lines.index and leaves the places alone.
+func (w *writeSet) entry(line uint64) int {
+	i, fresh := w.lines.add(line)
+	if fresh && i < cap(w.bufs) {
+		w.bufs = w.bufs[:i+1]
+		w.bufs[i].mask = 0 // the old values are dead storage until masked in
+	} else if fresh {
+		w.bufs = append(w.bufs, lineWrite{})
 	}
-	for i := hash64(uint64(addr)) & w.mask; ; i = (i + 1) & w.mask {
-		sl := &w.slots[i]
-		if sl.epoch != w.epoch {
-			return -1
-		}
-		if sl.key == addr {
-			return int(sl.idx)
-		}
-	}
+	w.mruLine[w.lru], w.mruIdx[w.lru] = line, int32(i)
+	w.lru ^= 1
+	return i
 }
 
-// put buffers val for addr, updating in place if addr was already written.
-func (w *writeSet) put(addr nvm.Addr, val uint64) {
-	if i := w.index(addr); i >= 0 {
-		w.vals[i] = val
-		return
-	}
-	n := len(w.addrs)
-	if n == setLinearMax || (n > setLinearMax && 4*(n+1) > 3*len(w.slots)) {
-		w.rehash()
-	}
-	if n >= setLinearMax {
-		w.tableAdd(addr, int32(n))
-	}
-	w.addrs = append(w.addrs, addr)
-	w.vals = append(w.vals, val)
-}
-
-// tableAdd inserts an address known to be absent into the probe table.
-func (w *writeSet) tableAdd(addr nvm.Addr, idx int32) {
-	for i := hash64(uint64(addr)) & w.mask; ; i = (i + 1) & w.mask {
-		sl := &w.slots[i]
-		if sl.epoch != w.epoch {
-			sl.key, sl.idx, sl.epoch = addr, idx, w.epoch
-			return
-		}
-	}
-}
-
-// rehash (re)builds the probe table from the dense slice; see lineSet.rehash.
-func (w *writeSet) rehash() {
-	need := 2 * (len(w.addrs) + 1)
-	capSlots := len(w.slots)
-	if capSlots < 4*setLinearMax {
-		capSlots = 4 * setLinearMax
-	}
-	for capSlots < need {
-		capSlots *= 2
-	}
-	if capSlots > len(w.slots) {
-		w.slots = make([]writeSlot, capSlots)
-		w.mask = uint64(capSlots - 1)
-	}
-	w.epoch++
-	for i, a := range w.addrs {
-		w.tableAdd(a, int32(i))
-	}
-}
+// wordOf returns addr's position in its cache line.
+func wordOf(addr nvm.Addr) uint { return uint(addr % nvm.WordsPerLine) }

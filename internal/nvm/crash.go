@@ -111,7 +111,7 @@ func (h *Heap) MediaLoad(addr Addr) uint64 {
 	if !h.cfg.TrackPersistence {
 		panic("nvm: MediaLoad requires Config.TrackPersistence")
 	}
-	h.check(addr)
+	h.Check(addr)
 	return h.media[addr].Load()
 }
 

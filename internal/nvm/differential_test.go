@@ -20,7 +20,7 @@ func (p *recordingPolicy) Persist(addr Addr) bool {
 
 // TestDifferentialAgainstPerWordModel drives the per-line mask heap and the
 // per-word three-state model it replaced (refmodel_test.go) with the same
-// seeded random sequences of stores (single and write-set), compare-and-swaps,
+// seeded random sequences of stores (single and whole write-set lines), compare-and-swaps,
 // flushes, fences and drains on three flushers, and crashes under equal-seeded random policies.
 // Nothing a recovery observer can see may differ: the media image after
 // every operation that can change it, the visible image after every crash,
@@ -54,19 +54,26 @@ func TestDifferentialAgainstPerWordModel(t *testing.T) {
 				h.Store(a, v)
 				ref.Store(a, v)
 			case k < 40:
-				// A write set: runs of consecutive words, the odd jump, the
-				// odd repeat. The reference stores them one by one.
-				addrs := make([]Addr, 1+rng.Intn(12))
-				vals := make([]uint64, len(addrs))
-				a := addr()
-				for i := range addrs {
-					if a++; a >= words || rng.Intn(4) == 0 {
-						a = addr()
+				// One entry of a write set: a random line — line 0 and the
+				// partial last line among them — and a random non-empty set of
+				// its addressable words. The reference stores them one by one.
+				line := uint64(rng.Intn((words + WordsPerLine - 1) / WordsPerLine))
+				var mask uint8
+				var vals [WordsPerLine]uint64
+				for mask == 0 {
+					for k := 0; k < WordsPerLine; k++ {
+						if a := Addr(line*WordsPerLine) + Addr(k); a != NilAddr && a < words && rng.Intn(2) == 0 {
+							mask |= 1 << k
+							vals[k] = rng.Uint64()
+						}
 					}
-					addrs[i], vals[i] = a, rng.Uint64()
-					ref.Store(a, vals[i])
 				}
-				h.StoreAll(addrs, vals)
+				for k := 0; k < WordsPerLine; k++ {
+					if mask>>k&1 != 0 {
+						ref.Store(Addr(line*WordsPerLine)+Addr(k), vals[k])
+					}
+				}
+				h.StoreLine(line, mask, &vals)
 			case k < 48:
 				// Half the swaps name the current value and succeed.
 				a, v := addr(), rng.Uint64()

@@ -27,7 +27,7 @@ func (h *Heap) NewFlusher() *Flusher {
 // media image after a subsequent Drain or Fence on this Flusher.
 func (f *Flusher) Flush(addr Addr) {
 	h := f.heap
-	h.check(addr)
+	h.Check(addr)
 	h.flushes.Add(1)
 	if !h.cfg.TrackPersistence {
 		return

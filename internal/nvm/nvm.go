@@ -160,17 +160,19 @@ func (h *Heap) PersistLatency() time.Duration { return h.latency }
 // injection) is enabled.
 func (h *Heap) Tracking() bool { return h.cfg.TrackPersistence }
 
-// check panics on out-of-range or nil addresses; all callers in this module
-// compute addresses from carved regions, so a bad address is a bug. The panic
-// value formats itself only when printed: a fmt call here would put check —
-// and with it Load, which runs ≈ 23 times per GET — over the inliner's budget.
-func (h *Heap) check(addr Addr) {
+// Check panics on out-of-range or nil addresses; all callers in this module
+// compute addresses from carved regions, so a bad address is a bug. It is
+// exported for htm.Tx.Store, which checks a word as it buffers it so that
+// StoreLine, at commit, has nothing left to refuse. The panic value formats
+// itself only when printed: a fmt call here would put Check — and with it
+// Load, which runs ≈ 23 times per GET — over the inliner's budget.
+func (h *Heap) Check(addr Addr) {
 	if addr == NilAddr || int(addr) >= len(h.visible) {
 		panic(addrError{addr, len(h.visible)})
 	}
 }
 
-// addrError is the panic value of a failed check.
+// addrError is the panic value of a failed Check.
 type addrError struct {
 	addr  Addr
 	words int
@@ -182,7 +184,7 @@ func (e addrError) Error() string {
 
 // Load returns the visible value of the word at addr.
 func (h *Heap) Load(addr Addr) uint64 {
-	h.check(addr)
+	h.Check(addr)
 	return h.visible[addr].Load()
 }
 
@@ -190,7 +192,7 @@ func (h *Heap) Load(addr Addr) uint64 {
 // reach the media image until the word is flushed and fenced, evicted by a
 // crash policy, or the line is persisted by Persist.
 func (h *Heap) Store(addr Addr, val uint64) {
-	h.check(addr)
+	h.Check(addr)
 	h.visible[addr].Store(val)
 	if h.cfg.TrackPersistence {
 		// Order matters: the visible value must be in place before the word
@@ -203,40 +205,31 @@ func (h *Heap) Store(addr Addr, val uint64) {
 }
 
 // mark records that the words of line named by mask are not known to be in
-// media. No caller can name word 0 or a word past the heap's end (check
+// media. No caller can name word 0 or a word past the heap's end (Check
 // rejects both), so those bits are never set and nothing below completes or
 // resurrects them.
 func (h *Heap) mark(line uint64, mask uint32) {
 	h.dirty[line].Or(mask)
 }
 
-// StoreAll stores vals[i] to addrs[i] for every i, in order, as a committing
-// hardware transaction publishes its write set. It is Store in a loop except
-// that consecutive words of one cache line are marked once, after the last
-// of them is visible, rather than once each: the mark may trail the visible
-// word by any amount (see Store), and a write set is mostly such runs.
-func (h *Heap) StoreAll(addrs []Addr, vals []uint64) {
-	if !h.cfg.TrackPersistence {
-		for i, addr := range addrs {
-			h.Store(addr, vals[i])
-		}
+// StoreLine stores vals[k] to word k of line for every bit k of mask, as a
+// committing hardware transaction publishes one entry of its write set, and
+// marks the words once, after the last of them is visible: the mark may trail
+// the visible word by any amount (see Store). The lowest and the highest word
+// named are checked before any is stored.
+func (h *Heap) StoreLine(line uint64, mask uint8, vals *[WordsPerLine]uint64) {
+	if mask == 0 {
 		return
 	}
-	var line uint64
-	var mask uint32
-	for i, addr := range addrs {
-		h.check(addr)
-		if l := LineOf(addr); l != line {
-			if mask != 0 {
-				h.mark(line, mask)
-			}
-			line, mask = l, 0
-		}
-		h.visible[addr].Store(vals[i])
-		mask |= wordBit(addr)
+	base := Addr(line * WordsPerLine)
+	h.Check(base + Addr(bits.TrailingZeros8(mask)))
+	h.Check(base + Addr(bits.Len8(mask)-1))
+	for m := mask; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros8(m)
+		h.visible[base+Addr(k)].Store(vals[k])
 	}
-	if mask != 0 {
-		h.mark(line, mask)
+	if h.cfg.TrackPersistence {
+		h.mark(line, uint32(mask))
 	}
 }
 
@@ -244,7 +237,7 @@ func (h *Heap) StoreAll(addrs []Addr, vals []uint64) {
 // currently equals old, reporting whether the swap happened. It is used for
 // non-transactional synchronization words such as the single global lock.
 func (h *Heap) CompareAndSwap(addr Addr, old, new uint64) bool {
-	h.check(addr)
+	h.Check(addr)
 	ok := h.visible[addr].CompareAndSwap(old, new)
 	if ok && h.cfg.TrackPersistence {
 		h.mark(LineOf(addr), wordBit(addr))

@@ -224,6 +224,60 @@ func TestPartialLastLine(t *testing.T) {
 	}
 }
 
+// TestStoreLine: only the masked words change, they are marked like single
+// stores (a flush and fence persist them, a crash without one loses them), an
+// empty mask is no store at all, and a mask that names word 0 or a word past
+// the heap's end panics before any of its words is stored.
+func TestStoreLine(t *testing.T) {
+	const words = 20 // line 2 holds words 16..19
+	h := newTrackedHeap(t, words)
+	f := h.NewFlusher()
+	for a := Addr(1); a < words; a++ {
+		h.Store(a, 100+uint64(a))
+	}
+	f.FlushRange(1, words-1)
+	f.Drain()
+
+	vals := [WordsPerLine]uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	h.StoreLine(1, 0, &vals)
+	h.StoreLine(1, 0b10100101, &vals) // words 8, 10, 13, 15
+	h.StoreLine(0, 0b00000110, &vals) // words 1, 2: line 0 without word 0
+	h.StoreLine(2, 0b00001001, &vals) // words 16, 19: the partial line's ends
+	written := map[Addr]uint64{8: 1, 10: 3, 13: 6, 15: 8, 1: 2, 2: 3, 16: 1, 19: 4}
+	check := func(what string, kept func(Addr) bool) {
+		t.Helper()
+		for a := Addr(1); a < words; a++ {
+			want := 100 + uint64(a)
+			if v, ok := written[a]; ok && kept(a) {
+				want = v
+			}
+			if got := h.Load(a); got != want {
+				t.Fatalf("%s: word %d = %d, want %d", what, a, got, want)
+			}
+		}
+	}
+	check("after StoreLine", func(Addr) bool { return true })
+	f.Flush(8) // line 1 only
+	f.Fence()
+	h.Crash(PersistNone{})
+	check("after flushing line 1 and crashing", func(a Addr) bool { return LineOf(a) == 1 })
+
+	for _, bad := range []struct {
+		line uint64
+		mask uint8
+	}{{0, 0b00000011}, {2, 0b00010001}, {3, 0b00000001}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("StoreLine(%d, %#b) did not panic", bad.line, bad.mask)
+				}
+			}()
+			h.StoreLine(bad.line, bad.mask, &vals)
+		}()
+	}
+	check("after refused StoreLines", func(a Addr) bool { return LineOf(a) == 1 })
+}
+
 // TestTrackedPersistCycleDoesNotAllocate pins the steady-state tracked persist
 // cycle — a line's worth of stores, a flush, a fence — at zero allocations:
 // the flusher's pending slice is reused from fence to fence.

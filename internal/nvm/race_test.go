@@ -47,14 +47,19 @@ func TestTrackedStoreFlushFenceStress(t *testing.T) {
 			f.Fence()
 		}(g)
 	}
-	// One more goroutine only stores, walking every word of the shared lines:
-	// each of its marks lands in a mask word the others are flushing and
+	// One more goroutine only stores, walking the shared lines as a committing
+	// transaction does, several words to a StoreLine under every mask there
+	// is: each of its marks lands in a mask word the others are flushing and
 	// claiming for their own words of the same line.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < iters*WordsPerLine; i++ {
-			h.Store(base+Addr(i%(lines*WordsPerLine)), uint64(i))
+		var vals [WordsPerLine]uint64
+		for i := 0; i < 2*iters; i++ {
+			for k := range vals {
+				vals[k] = uint64(i)
+			}
+			h.StoreLine(LineOf(base)+uint64(i%lines), uint8(1+i%255), &vals)
 		}
 	}()
 	wg.Wait()

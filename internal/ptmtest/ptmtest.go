@@ -482,11 +482,11 @@ func testAtomicReadSnapshotIsolation(t *testing.T, factory Factory) {
 func testAtomicReadUnderLockFallback(t *testing.T, factory Factory) {
 	eng, heap := build(t, factory)
 	const (
-		writeLines = 520  // > htm.Config.MaxWriteLines default
-		wideLines  = 8200 // > htm.Config.MaxReadLines default
-		writes     = 16
-		minReads   = 40
-		wideReads  = 3
+		writtenLines = 520  // > htm.Config.MaxWriteLines default
+		wideLines    = 8200 // > htm.Config.MaxReadLines default
+		writes       = 16
+		minReads     = 40
+		wideReads    = 3
 	)
 	// The writer's lines are the head of the wide reader's region; the rest
 	// is never written and reads as zero.
@@ -506,7 +506,7 @@ func testAtomicReadUnderLockFallback(t *testing.T, factory Factory) {
 		for i := 0; i < writes; i++ {
 			if err := th.Atomic(func(tx ptm.Tx) error {
 				v := tx.Load(word(0)) + 1
-				for l := 0; l < writeLines; l++ {
+				for l := 0; l < writtenLines; l++ {
 					tx.Store(word(l), v)
 				}
 				return nil
@@ -528,7 +528,7 @@ func testAtomicReadUnderLockFallback(t *testing.T, factory Factory) {
 			if err := th.AtomicRead(func(tx ptm.Tx) error {
 				first, torn = tx.Load(word(0)), 0
 				for l := 1; l < lines; l++ {
-					if v := tx.Load(word(l)); l < writeLines && v != first {
+					if v := tx.Load(word(l)); l < writtenLines && v != first {
 						torn = v
 					}
 				}
@@ -560,8 +560,8 @@ func testAtomicReadUnderLockFallback(t *testing.T, factory Factory) {
 		}
 	}
 	wg.Add(3)
-	go reader(1, minReads, writeLines, true)
-	go reader(2, minReads, writeLines, true)
+	go reader(1, minReads, writtenLines, true)
+	go reader(2, minReads, writtenLines, true)
 	go reader(3, wideReads, wideLines, false)
 	close(start)
 	wg.Wait()
