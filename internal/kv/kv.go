@@ -560,23 +560,18 @@ func (s *Store) putSlot(tx ptm.Tx, hdr nvm.Addr, h uint64, key, value []byte) er
 	return fmt.Errorf("kv: shard table full (%d slots)", slots)
 }
 
-// DeleteTx removes key within the caller's transaction, reporting whether it
-// was present. The slot becomes a tombstone (reclaimed by the next rehash)
-// and the entry's block is freed at commit.
-func (s *Store) DeleteTx(tx ptm.Tx, key []byte) bool {
-	found, _ := s.deleteTxStep(tx, hashKey(key), key)
-	return found
-}
-
-// deleteTxStep is DeleteTx returning the staged rehash-step mask for callers
-// that own the enclosing transaction and can fold it after commit.
+// deleteTxStep removes key within the caller's transaction, reporting whether
+// it was present, and returns the staged rehash-step mask for the caller, who
+// owns the enclosing transaction, to fold after commit. The slot becomes a
+// tombstone (reclaimed by the next rehash) and the entry's block is freed at
+// commit.
 func (s *Store) deleteTxStep(tx ptm.Tx, h uint64, key []byte) (bool, rehashStep) {
 	hdr := s.shardHeader(s.shardOf(h))
 	step := s.stepRehash(tx, hdr)
 	return s.deleteSlot(tx, hdr, h, key), step
 }
 
-// deleteSlot is the shard-local delete: DeleteTx after the rehash step,
+// deleteSlot is the shard-local delete: deleteTxStep after the rehash step,
 // shared with the group-execution path (Apply).
 func (s *Store) deleteSlot(tx ptm.Tx, hdr nvm.Addr, h uint64, key []byte) bool {
 	slot := s.find(tx, hdr, h, key)

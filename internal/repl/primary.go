@@ -1,19 +1,21 @@
 package repl
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"crafty/internal/kv"
+	"crafty/internal/wire"
 )
 
 // SnapshotFunc captures the store's full contents at a quiesced point,
 // together with the stream sequence and generation that state corresponds
 // to. craftykv implements it with its SYNC barrier: checkpoint + kv.Snapshot
 // inside the fully-quiesced window, reading Log.LastSeq there.
-type SnapshotFunc func() (entries []Entry, seq, gen uint64, err error)
+type SnapshotFunc func() (puts []kv.Op, seq, gen uint64, err error)
 
 // PrimaryConfig wires a Primary to its host server.
 type PrimaryConfig struct {
@@ -50,10 +52,8 @@ type Primary struct {
 }
 
 type session struct {
-	p    *Primary
-	conn net.Conn
-	w    *bufio.Writer
-	r    *bufio.Reader
+	p *Primary
+	*link
 
 	closed    atomic.Bool
 	acked     atomic.Uint64
@@ -178,26 +178,30 @@ func (s *session) close() {
 
 // HandleConn runs one replica session to completion.
 func (p *Primary) HandleConn(conn net.Conn) {
-	s := &session{p: p, conn: conn, w: bufio.NewWriter(conn), r: bufio.NewReader(conn)}
+	// This end reads a few integers a frame (HELLO, ACK) from a peer it knows
+	// nothing about: its frame limit is its read buffer, so nothing allocates.
+	s := &session{p: p, link: newLink(conn, connBuf)}
 	defer s.close()
+	defer s.enc.Flush() // a refusal below is one ERR frame, then close
 	p.handshakes.Add(1)
 
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	pos, gen, err := ReadHello(s.r)
+	pos, gen, err := s.readHello()
+	conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
 	if err != nil {
 		p.logf("repl: handshake failed: %v", err)
-		WriteErr(s.w, fmt.Sprintf("handshake: %v", err))
+		s.enc.Err(fmt.Sprintf("handshake: %v", err))
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 	if p.cfg.Accept != nil {
 		if err := p.cfg.Accept(); err != nil {
-			WriteErr(s.w, err.Error())
+			s.enc.Err(err.Error())
 			return
 		}
 	}
 	if !p.addSession(s) {
-		WriteErr(s.w, "primary shut down")
+		s.enc.Err("primary shut down")
 		return
 	}
 	defer p.dropSession(s)
@@ -207,25 +211,35 @@ func (p *Primary) HandleConn(conn net.Conn) {
 	// covering pos+1 lets the replica tail directly; anything else gets a
 	// quiesced snapshot and tails from its recorded sequence.
 	curGen := p.cfg.Gen()
-	conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
 	if gen == curGen && pos <= p.cfg.Log.LastSeq() && p.cfg.Log.Covers(pos) {
-		if err := WriteStream(s.w, curGen, pos+1); err != nil {
-			return
-		}
+		err = s.enc.Repl(wire.TReplStream, curGen, pos+1, nil)
 	} else {
-		entries, seq, snapGen, err := p.cfg.Snapshot()
-		if err != nil {
+		var puts []kv.Op
+		var snapGen uint64
+		if puts, pos, snapGen, err = p.cfg.Snapshot(); err != nil {
 			p.logf("repl: snapshot for replica failed: %v", err)
-			WriteErr(s.w, fmt.Sprintf("snapshot: %v", err))
+			s.enc.Err(fmt.Sprintf("snapshot: %v", err))
 			return
 		}
 		p.snapshots.Add(1)
-		if err := WriteSnap(s.w, snapGen, seq, entries); err != nil {
-			return
+		// Chunks of about connBuf key and value bytes: the store's size sets
+		// how many frames there are, not how wide. The write deadline
+		// restarts with each.
+		for len(puts) > 0 && err == nil {
+			n, size := 0, 0
+			for n < len(puts) && size < connBuf {
+				size += len(puts[n].Key) + len(puts[n].Value)
+				n++
+			}
+			conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
+			err = s.enc.Repl(wire.TReplSnapChunk, 0, 0, puts[:n])
+			puts = puts[n:]
 		}
-		pos = seq
+		if err == nil {
+			err = s.enc.Repl(wire.TReplSnapEnd, snapGen, pos, nil)
+		}
 	}
-	if err := s.w.Flush(); err != nil {
+	if err != nil || s.enc.Flush() != nil {
 		return
 	}
 	s.acked.Store(pos)
@@ -234,19 +248,37 @@ func (p *Primary) HandleConn(conn net.Conn) {
 	s.stream(pos)
 }
 
+// readHello exchanges handshakes and reads the replica's HELLO. Its errors
+// are typed: the stream's own (EOF, deadline) or internal/wire's.
+func (s *session) readHello() (pos, gen uint64, err error) {
+	version, err := s.readHandshake()
+	if err != nil || version > wire.Version {
+		version = wire.Version
+	}
+	s.enc.Handshake(version) // even a refusal is a frame, so it follows a handshake
+	if err != nil {
+		return 0, 0, err
+	}
+	t, pos, gen, err := s.next()
+	if err == nil && t != wire.TReplHello {
+		err = &wire.ProtocolError{Msg: fmt.Sprintf("first frame is %v, want %v", t, wire.TReplHello)}
+	}
+	return pos, gen, err
+}
+
 // readAcks consumes replica ACKs until the connection dies.
 func (s *session) readAcks() {
 	defer s.close()
 	defer s.p.cfg.Log.Broadcast() // unblock the streamer's WaitFrom
 	for {
-		seq, durable, err := ReadAck(s.r)
-		if err != nil {
+		t, seq, durable, err := s.next()
+		if err != nil || t != wire.TReplAck {
 			return
 		}
 		if seq > s.acked.Load() {
 			s.acked.Store(seq)
 		}
-		if durable && seq > s.durable.Load() {
+		if durable == 1 && seq > s.durable.Load() {
 			s.durable.Store(seq)
 			s.p.pulse()
 		}
@@ -281,18 +313,19 @@ func (s *session) stream(pos uint64) {
 		buf = gs
 		s.conn.SetWriteDeadline(time.Now().Add(s.p.cfg.WriteTimeout))
 		for _, g := range gs {
-			if err := WriteGroup(s.w, g); err != nil {
+			if err := s.enc.Repl(wire.TReplGroup, g.Seq, 0, g.Ops); err != nil {
+				s.p.logf("repl: group %d: %v", g.Seq, err)
 				return
 			}
 			pos = g.Seq
 		}
 		if want := s.fenceWant.Load(); want > lastFence && want <= pos {
-			if err := WriteFence(s.w, want); err != nil {
+			if err := s.enc.Repl(wire.TReplFence, want, 0, nil); err != nil {
 				return
 			}
 			lastFence = want
 		}
-		if err := s.w.Flush(); err != nil {
+		if err := s.enc.Flush(); err != nil {
 			return
 		}
 	}

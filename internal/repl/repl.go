@@ -14,29 +14,30 @@
 // whose generation disagrees after a primary crash rolled back streamed
 // groups) is resynced from a full snapshot taken at a quiesced point, then
 // tails the stream from the sequence recorded there.
+//
+// The stream is internal/wire's frame codec over kv.Op — the client port's
+// handshake, framing and decoder on their own range of frame types (DESIGN.md
+// §12 has the table). Both ends open with the handshake; the replica says
+// HELLO pos gen; the primary answers ERR, or STREAM gen from, or the store as
+// SNAPCHUNK frames closed by SNAPEND gen seq, and from then on sends GROUP and
+// FENCE frames, which the replica answers with ACK seq durable. Any decode
+// error or sequence gap (netfault drops, half-written frames) drops the
+// connection and the replica re-handshakes from its recorded position; groups
+// are idempotent so overlap is harmless, and a snapshot cut short of its
+// SNAPEND applies nothing.
 package repl
 
-import "sync"
+import (
+	"sync"
 
-// Op is one replicated mutation. Key and Value are owned by the log once
-// appended (Append deep-copies its input).
-type Op struct {
-	Delete bool
-	Key    []byte
-	Value  []byte
-}
+	"crafty/internal/kv"
+)
 
-// Group is one scheduler batch's committed mutations under one stream
-// sequence number. Sequences are contiguous from 1.
+// Group is one scheduler batch's committed mutations (puts and deletes) under
+// one stream sequence number. Sequences are contiguous from 1.
 type Group struct {
 	Seq uint64
-	Ops []Op
-}
-
-// Entry is one key/value pair of a snapshot transfer.
-type Entry struct {
-	Key   []byte
-	Value []byte
+	Ops []kv.Op
 }
 
 // Log is the primary's bounded in-memory ring of recent groups. Workers
@@ -64,8 +65,8 @@ func NewLog(capGroups int) *Log {
 
 // Append assigns the next sequence to ops and retains a deep copy (callers
 // reuse their buffers). Returns the assigned sequence.
-func (l *Log) Append(ops []Op) uint64 {
-	cp := make([]Op, len(ops))
+func (l *Log) Append(ops []kv.Op) uint64 {
+	cp := make([]kv.Op, len(ops))
 	var n int
 	for _, op := range ops {
 		n += len(op.Key) + len(op.Value)
@@ -76,7 +77,7 @@ func (l *Log) Append(ops []Op) uint64 {
 		k := buf[len(buf)-len(op.Key):]
 		buf = append(buf, op.Value...)
 		v := buf[len(buf)-len(op.Value):]
-		cp[i] = Op{Delete: op.Delete, Key: k, Value: v}
+		cp[i] = kv.Op{Kind: op.Kind, Key: k, Value: v}
 	}
 	l.mu.Lock()
 	seq := l.next

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"crafty/internal/kv"
 	"crafty/internal/repl/netfault"
 )
 
@@ -29,7 +30,7 @@ func (a *memApplier) ApplyGroups(gs []Group) error {
 	a.applies++
 	for _, g := range gs {
 		for _, op := range g.Ops {
-			if op.Delete {
+			if op.Kind == kv.OpDelete {
 				delete(a.data, string(op.Key))
 			} else {
 				a.data[string(op.Key)] = string(op.Value)
@@ -40,7 +41,7 @@ func (a *memApplier) ApplyGroups(gs []Group) error {
 	return nil
 }
 
-func (a *memApplier) ApplySnapshot(entries []Entry, seq, gen uint64) error {
+func (a *memApplier) ApplySnapshot(entries []kv.Op, seq, gen uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.data = map[string]string{}
@@ -100,11 +101,11 @@ func newFakePrimaryState(capGroups int) *fakePrimaryState {
 	return &fakePrimaryState{data: map[string]string{}, log: NewLog(capGroups), gen: 1}
 }
 
-func (s *fakePrimaryState) apply(ops []Op) uint64 {
+func (s *fakePrimaryState) apply(ops []kv.Op) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, op := range ops {
-		if op.Delete {
+		if op.Kind == kv.OpDelete {
 			delete(s.data, string(op.Key))
 		} else {
 			s.data[string(op.Key)] = string(op.Value)
@@ -114,16 +115,16 @@ func (s *fakePrimaryState) apply(ops []Op) uint64 {
 }
 
 func (s *fakePrimaryState) put(k, v string) uint64 {
-	return s.apply([]Op{{Key: []byte(k), Value: []byte(v)}})
+	return s.apply([]kv.Op{{Kind: kv.OpPut, Key: []byte(k), Value: []byte(v)}})
 }
 
 func (s *fakePrimaryState) snapshotFunc() SnapshotFunc {
-	return func() ([]Entry, uint64, uint64, error) {
+	return func() ([]kv.Op, uint64, uint64, error) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		var entries []Entry
+		var entries []kv.Op
 		for k, v := range s.data {
-			entries = append(entries, Entry{Key: []byte(k), Value: []byte(v)})
+			entries = append(entries, kv.Op{Kind: kv.OpPut, Key: []byte(k), Value: []byte(v)})
 		}
 		return entries, s.log.LastSeq(), s.gen, nil
 	}
@@ -139,6 +140,26 @@ func (s *fakePrimaryState) snapshot() map[string]string {
 	return out
 }
 
+// quietAfter returns t.Logf, muted once the test's cleanups begin: a session
+// goroutine that outlives its test (Stop and Close do not wait for them) may
+// still have a diagnostic to log, and logging to a finished test panics.
+func quietAfter(t *testing.T) func(format string, args ...any) {
+	var mu sync.Mutex
+	done := false
+	t.Cleanup(func() {
+		mu.Lock()
+		done = true
+		mu.Unlock()
+	})
+	return func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !done {
+			t.Logf(format, args...)
+		}
+	}
+}
+
 func startPrimary(t *testing.T, s *fakePrimaryState) (*Primary, string) {
 	t.Helper()
 	p := NewPrimary(PrimaryConfig{
@@ -149,7 +170,7 @@ func startPrimary(t *testing.T, s *fakePrimaryState) (*Primary, string) {
 			defer s.mu.Unlock()
 			return s.gen
 		},
-		Logf: t.Logf,
+		Logf: quietAfter(t),
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -168,7 +189,7 @@ func startReplica(t *testing.T, addr string, a Applier, dial func(string) (net.C
 		Applier:     a,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
-		Logf:        t.Logf,
+		Logf:        quietAfter(t),
 	})
 	t.Cleanup(r.Stop)
 	go r.Run()
@@ -215,7 +236,7 @@ func TestSnapshotThenTail(t *testing.T) {
 	}
 	// Now tail live groups, including deletes.
 	s.put("live", "yes")
-	s.apply([]Op{{Delete: true, Key: []byte("pre3")}})
+	s.apply([]kv.Op{{Kind: kv.OpDelete, Key: []byte("pre3")}})
 	waitUntil(t, "tail caught up", func() bool { return a.position() == s.log.LastSeq() })
 	if !mapsEqual(a.snapshot(), s.snapshot()) {
 		t.Fatalf("replica %v != primary %v", a.snapshot(), s.snapshot())
@@ -395,7 +416,7 @@ func TestLogTrimAndCovers(t *testing.T) {
 		t.Fatal("empty log must cover position 0")
 	}
 	for i := 1; i <= 5; i++ {
-		l.Append([]Op{{Key: []byte{byte(i)}}})
+		l.Append([]kv.Op{{Kind: kv.OpDelete, Key: []byte{byte(i)}}})
 	}
 	if l.LastSeq() != 5 {
 		t.Fatalf("LastSeq = %d", l.LastSeq())

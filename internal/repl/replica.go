@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bufio"
-
+	"crafty/internal/kv"
 	"crafty/internal/kvclient"
+	"crafty/internal/wire"
 )
 
 // Applier is the replica host's store interface. craftykv implements it on
@@ -22,9 +22,9 @@ type Applier interface {
 	// a crash that rolled the position forward of the data — impossible — or
 	// behind it — routine) converges to the same state.
 	ApplyGroups(gs []Group) error
-	// ApplySnapshot replaces the store contents with entries and records
+	// ApplySnapshot replaces the store contents with puts and records
 	// position seq under generation gen.
-	ApplySnapshot(entries []Entry, seq, gen uint64) error
+	ApplySnapshot(puts []kv.Op, seq, gen uint64) error
 	// Fence makes everything applied so far durable (the host's SYNC
 	// barrier); after it returns, the recorded position survives any crash.
 	Fence() error
@@ -181,47 +181,55 @@ func (r *Replica) session() error {
 		r.setConn(nil)
 	}()
 
-	w := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
-	if err := WriteHello(w, pos, gen); err != nil {
+	l := newLink(conn, wire.ReplMaxFrame)
+	l.enc.Handshake(wire.Version)
+	if err := l.send(wire.TReplHello, pos, gen); err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
 	r.applied.Store(pos)
 	r.gen.Store(gen)
 
-	// First frame decides the mode.
-	f, err := ReadFrame(br)
-	if err != nil {
-		return fmt.Errorf("handshake reply: %w", err)
+	// The primary's answer, behind its handshake: STREAM to tail the log from
+	// pos+1, or the whole store as SNAPCHUNK frames closed by the SNAPEND
+	// that names the point they stand for — until it arrives nothing is applied.
+	v, err := l.readHandshake()
+	if err == nil && v > wire.Version {
+		err = fmt.Errorf("primary names protocol version %d, newer than %d", v, wire.Version)
 	}
-	switch f.Kind {
-	case FrameErr:
-		return fmt.Errorf("primary refused: %s", f.Msg)
-	case FrameStream:
-		if f.Seq != pos+1 {
-			return fmt.Errorf("stream starts at %d, position is %d", f.Seq, pos)
+	var t wire.Type
+	var sgen, seq uint64
+	for err == nil {
+		if t, sgen, seq, err = l.next(); t != wire.TReplSnapChunk {
+			break
 		}
-		r.gen.Store(f.Gen)
-	case FrameSnap:
+	}
+	switch {
+	case err != nil:
+		return fmt.Errorf("handshake reply: %w", err)
+	case t == wire.TReplStream && len(l.ops) == 0:
+		if seq != pos+1 {
+			return fmt.Errorf("stream starts at %d, position is %d", seq, pos)
+		}
+	case t == wire.TReplSnapEnd:
 		r.snapshots.Add(1)
-		if err := r.cfg.Applier.ApplySnapshot(f.Entries, f.Seq, f.Gen); err != nil {
+		if err := r.cfg.Applier.ApplySnapshot(l.ops, seq, sgen); err != nil {
 			return fmt.Errorf("apply snapshot: %w", err)
 		}
-		r.applied.Store(f.Seq)
-		r.gen.Store(f.Gen)
-		r.connected.Store(true)
-		if err := WriteAck(w, f.Seq, false); err != nil {
+		l.buf, l.ops = nil, nil
+		r.applied.Store(seq)
+		if err := l.send(wire.TReplAck, seq, 0); err != nil {
 			return fmt.Errorf("ack snapshot: %w", err)
 		}
 	default:
-		return fmt.Errorf("unexpected first frame kind %d", f.Kind)
+		return fmt.Errorf("unexpected first frame %v", t)
 	}
+	r.gen.Store(sgen)
 	r.connected.Store(true)
 
 	// Apply loop. Consecutive buffered GROUP frames are batched into one
 	// ApplyGroups call (one scheduler submission) before acking; FENCE
 	// forces the pending batch through, then a durable barrier, then a
-	// durable ACK.
+	// durable ACK. The batch's groups are windows of the link's ops.
 	var batch []Group
 	flush := func() error {
 		if len(batch) == 0 {
@@ -232,49 +240,48 @@ func (r *Replica) session() error {
 		}
 		last := batch[len(batch)-1].Seq
 		r.applied.Store(last)
-		batch = batch[:0]
-		return WriteAck(w, last, false)
+		batch, l.buf, l.ops = batch[:0], l.buf[:0], l.ops[:0]
+		return l.send(wire.TReplAck, last, 0)
 	}
 	for {
 		// Drain buffered frames into the batch before blocking on the wire.
-		if len(batch) > 0 && br.Buffered() == 0 {
+		if len(batch) > 0 && !l.r.Buffered() {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
-		f, err := ReadFrame(br)
+		first := len(l.ops)
+		t, seq, _, err := l.next()
 		if err != nil {
 			return fmt.Errorf("read frame: %w", err)
 		}
-		switch f.Kind {
-		case FrameGroup:
+		switch t {
+		case wire.TReplGroup:
 			want := r.applied.Load() + uint64(len(batch)) + 1
-			if f.Group.Seq != want {
-				return fmt.Errorf("sequence gap: got group %d, want %d", f.Group.Seq, want)
+			if seq != want {
+				return fmt.Errorf("sequence gap: got group %d, want %d", seq, want)
 			}
-			batch = append(batch, f.Group)
+			batch = append(batch, Group{Seq: seq, Ops: l.ops[first:]})
 			if len(batch) >= 256 {
 				if err := flush(); err != nil {
 					return err
 				}
 			}
-		case FrameFence:
+		case wire.TReplFence:
 			if err := flush(); err != nil {
 				return err
 			}
-			if ap := r.applied.Load(); f.Seq > ap {
-				return fmt.Errorf("fence %d ahead of applied %d", f.Seq, ap)
+			if ap := r.applied.Load(); seq > ap {
+				return fmt.Errorf("fence %d ahead of applied %d", seq, ap)
 			}
 			if err := r.cfg.Applier.Fence(); err != nil {
 				return fmt.Errorf("fence: %w", err)
 			}
-			if err := WriteAck(w, f.Seq, true); err != nil {
+			if err := l.send(wire.TReplAck, seq, 1); err != nil {
 				return fmt.Errorf("ack fence: %w", err)
 			}
-		case FrameErr:
-			return fmt.Errorf("primary error: %s", f.Msg)
 		default:
-			return fmt.Errorf("unexpected frame kind %d mid-stream", f.Kind)
+			return fmt.Errorf("unexpected frame %v mid-stream", t)
 		}
 	}
 }

@@ -158,7 +158,7 @@ func (s *Server) StartReplica(primaryAddr string, dial func(string) (net.Conn, e
 // fully-quiesced window it checkpoints (so the on-NVM watermark matches what
 // the replica receives) and walks the whole store, recording the log
 // sequence the state corresponds to. Reserved keys stay out.
-func (s *Server) replSnapshot() (entries []repl.Entry, seq, gen uint64, err error) {
+func (s *Server) replSnapshot() (puts []crafty.KVOp, seq, gen uint64, err error) {
 	rs := s.repl
 	err = s.syncWith(func() error {
 		s.mu.RLock()
@@ -166,7 +166,7 @@ func (s *Server) replSnapshot() (entries []repl.Entry, seq, gen uint64, err erro
 		if _, err := s.store.Checkpoint(s.eng); err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
-		entries = entries[:0]
+		puts = puts[:0]
 		if err := s.store.Snapshot(s.heap, func(e crafty.KVSnapshotEntry) error {
 			if replReserved(e.Key) {
 				return nil
@@ -174,7 +174,7 @@ func (s *Server) replSnapshot() (entries []repl.Entry, seq, gen uint64, err erro
 			buf := make([]byte, 0, len(e.Key)+len(e.Value))
 			buf = append(buf, e.Key...)
 			buf = append(buf, e.Value...)
-			entries = append(entries, repl.Entry{Key: buf[:len(e.Key)], Value: buf[len(e.Key):]})
+			puts = append(puts, crafty.KVOp{Kind: crafty.KVPut, Key: buf[:len(e.Key)], Value: buf[len(e.Key):]})
 			return nil
 		}); err != nil {
 			return err
@@ -187,7 +187,7 @@ func (s *Server) replSnapshot() (entries []repl.Entry, seq, gen uint64, err erro
 		return nil, 0, 0, err
 	}
 	s.obs.replSnapshots.Inc(0)
-	return entries, seq, gen, nil
+	return puts, seq, gen, nil
 }
 
 // replicatedSync is the SYNC command's implementation. Plain mode is the
@@ -396,11 +396,7 @@ func (a *kvApplier) ApplyGroups(gs []repl.Group) error {
 	err := a.runOps(func(req *request) {
 		for _, g := range gs {
 			for _, op := range g.Ops {
-				if op.Delete {
-					req.addOp(crafty.KVDelete, op.Key, nil)
-				} else {
-					req.addOp(crafty.KVPut, op.Key, op.Value)
-				}
+				req.addOp(op.Kind, op.Key, op.Value)
 			}
 		}
 	}, nil)
@@ -420,10 +416,10 @@ func (a *kvApplier) ApplyGroups(gs []repl.Group) error {
 // and fenced. The only writer on a replica is this applier, so nothing
 // mutates between the dump and the diff application (a crash in between is
 // caught by the epoch check).
-func (a *kvApplier) ApplySnapshot(entries []repl.Entry, seq, gen uint64) error {
+func (a *kvApplier) ApplySnapshot(puts []crafty.KVOp, seq, gen uint64) error {
 	e0 := a.s.crashEpoch.Load()
-	want := make(map[string]string, len(entries))
-	for _, e := range entries {
+	want := make(map[string]string, len(puts))
+	for _, e := range puts {
 		want[string(e.Key)] = string(e.Value)
 	}
 	local := map[string]string{}

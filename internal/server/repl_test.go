@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"crafty/internal/kv"
 	"crafty/internal/kvclient"
 	"crafty/internal/repl"
 	"crafty/internal/repl/netfault"
@@ -130,7 +131,7 @@ func replayGroups(t *testing.T, gs []repl.Group, upTo uint64) map[string]string 
 			break
 		}
 		for _, op := range g.Ops {
-			if op.Delete {
+			if op.Kind == kv.OpDelete {
 				delete(m, string(op.Key))
 			} else {
 				m[string(op.Key)] = string(op.Value)

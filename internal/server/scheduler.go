@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"crafty"
-	"crafty/internal/repl"
 	"crafty/internal/wire"
 )
 
@@ -202,7 +201,7 @@ type worker struct {
 	// tapOps is the reused staging buffer for the replication tap: the
 	// batch's committed mutations, handed to repl.Log.Append (which deep-
 	// copies) right after the group commit returns.
-	tapOps []repl.Op
+	tapOps []crafty.KVOp
 }
 
 // submit enqueues every operation of req, to be counted down on owner; the
@@ -362,11 +361,8 @@ func (w *worker) tap(items []task, res []crafty.KVOpResult) {
 		if out.Err != nil || replReserved(op.Key) {
 			continue
 		}
-		switch op.Kind {
-		case crafty.KVPut:
-			w.tapOps = append(w.tapOps, repl.Op{Key: op.Key, Value: op.Value})
-		case crafty.KVDelete:
-			w.tapOps = append(w.tapOps, repl.Op{Delete: true, Key: op.Key})
+		if op.Kind == crafty.KVPut || op.Kind == crafty.KVDelete {
+			w.tapOps = append(w.tapOps, op)
 		}
 	}
 	if len(w.tapOps) > 0 {

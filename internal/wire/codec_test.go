@@ -10,7 +10,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"crafty/internal/kv"
 )
@@ -376,12 +375,8 @@ func FuzzParseLine(f *testing.F) {
 		if !ok || c.check(req.Ops) != nil {
 			t.Fatalf("ParseLine(%q) accepted %v, which breaks its own table row", line, req)
 		}
-		addr := func(b []byte, i int) uintptr { return uintptr(unsafe.Pointer(&b[i])) }
-		inside := func(b []byte) bool {
-			return len(b) == 0 || (len(line) > 0 && addr(b, 0) >= addr(line, 0) && addr(b, len(b)-1) <= addr(line, len(line)-1))
-		}
 		for _, op := range req.Ops {
-			if !inside(op.Key) || !inside(op.Value) || op.Kind != c.Op {
+			if !within(op.Key, line) || !within(op.Value, line) || op.Kind != c.Op {
 				t.Fatalf("ParseLine(%q): op %v does not alias its line", line, op)
 			}
 		}

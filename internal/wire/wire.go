@@ -34,6 +34,12 @@
 //	TErr                message bytes (raw, no "ERR " prefix)
 //	TText               text blob (raw; may hold many lines, e.g. INFO)
 //
+// Replication payloads (repl.go; the -repl-listen port only): one or two
+// integers, or for a commit group one; then, for a group or a snapshot chunk,
+// a count and that many (kind key-string [value-string]) records or
+// (key-string value-string) pairs — kind is kv.OpPut or kv.OpDelete, and only
+// a put has a value.
+//
 // The first handshake byte (0xCF) can never start a text command, so one
 // Peek distinguishes the codecs. Decoding is zero-copy in both: frame
 // payloads live in the Reader's reusable buffer, text tokens in the caller's
@@ -68,8 +74,9 @@ const (
 	DefaultMaxFrame = 1 << 20
 )
 
-// Type tags one frame. Requests and responses share the tag space but not
-// values, so a stream direction mix-up fails loudly.
+// Type tags one frame. Requests, responses and replication frames (repl.go)
+// share the tag space but not values, so a stream direction or port mix-up
+// fails loudly.
 type Type uint8
 
 const (
@@ -101,10 +108,14 @@ const (
 )
 
 // String names a frame type for diagnostics: a request type by its command's
-// text spelling, a response type by its reply word.
+// text spelling, a response type by its reply word, a replication type by its
+// table row.
 func (t Type) String() string {
 	if c, ok := Lookup(t); ok {
 		return c.Name
+	}
+	if t >= TReplHello && t <= TReplAck {
+		return "REPL " + replFrames[t-TReplHello].name
 	}
 	if words := [...]string{"OK", "NIL", "VAL", "UINT", "ERR", "TEXT"}; t >= TOK && int(t-TOK) < len(words) {
 		return words[t-TOK]
