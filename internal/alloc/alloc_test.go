@@ -167,6 +167,27 @@ func TestSetZeroFillDisablesZeroing(t *testing.T) {
 	}
 }
 
+// TestSplitAvoidsOneLineRemainders: a class miss splits the smallest block
+// that leaves at least two lines over, and a block one line larger only when
+// no such block is free.
+func TestSplitAvoidsOneLineRemainders(t *testing.T) {
+	a := newArena(t, 8192)
+	three := a.alloc(3 * nvm.WordsPerLine)
+	a.alloc(nvm.WordsPerLine) // guards keep the free blocks apart
+	five := a.alloc(5 * nvm.WordsPerLine)
+	a.alloc(nvm.WordsPerLine)
+	a.free(three, five)
+
+	if got := a.alloc(2 * nvm.WordsPerLine); got != five {
+		t.Fatalf("two-line request split %d, want the five-line block at %d", got, five)
+	}
+	// Left: the three-line block and the five-line block's three-line tail.
+	if got := a.alloc(2 * nvm.WordsPerLine); got != three && got != five+2*nvm.WordsPerLine {
+		t.Fatalf("two-line request took %d, want one of the three-line blocks", got)
+	}
+	checkAccounting(t, a.Arena)
+}
+
 func TestSplitServesSmallRequestFromLargerFreeBlock(t *testing.T) {
 	a := newArena(t, 8192)
 	big := a.alloc(8 * nvm.WordsPerLine)

@@ -37,7 +37,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -190,10 +189,6 @@ type Engine struct {
 	// volatile: recovery derives everything from the logs.
 	tsLowerBound atomic.Uint64
 
-	// workers mirrors len(threads) for lock-free reads on the transaction
-	// fast path (phaseYield).
-	workers atomic.Int32
-
 	// metrics is the engine's off-path instrument block (see metrics.go);
 	// never nil. AdoptMetrics swaps it to carry counters across engine
 	// incarnations.
@@ -202,17 +197,6 @@ type Engine struct {
 	mu      sync.Mutex
 	threads []*Thread
 	closed  bool
-}
-
-// phaseYield yields the processor between a transaction's Log and Redo
-// phases when the engine is multi-threaded, emulating the NVM write-back
-// window in which other cores' transactions commit on real hardware. With a
-// single registered thread there is nothing to interleave with and the yield
-// is skipped, keeping single-thread microbenchmarks scheduler-free.
-func (e *Engine) phaseYield() {
-	if e.workers.Load() > 1 {
-		runtime.Gosched()
-	}
 }
 
 // NewEngine creates a Crafty engine on a fresh heap, carving and initializing
@@ -371,7 +355,6 @@ func (e *Engine) RegisterThread() (*Thread, error) {
 		ro:      ptm.ROTx{Heap: e.heap},
 	}
 	e.threads = append(e.threads, t)
-	e.workers.Store(int32(len(e.threads)))
 	return t, nil
 }
 

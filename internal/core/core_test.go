@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -189,7 +190,19 @@ func TestNoLostUpdatesWithSmallLogWraparound(t *testing.T) {
 	testNoLostUpdates(t, Config{LogEntries: 64})
 }
 
+// yieldBetweenLogAndRedo hands the processor away in the window between
+// every transaction's Log and Redo phases for the rest of the test, so that
+// even on one processor a sibling worker commits inside it.
+func yieldBetweenLogAndRedo(t *testing.T) {
+	betweenLogAndRedo = runtime.Gosched
+	t.Cleanup(func() { betweenLogAndRedo = nil })
+}
+
+// TestContendedTransactionsUseValidatePhase reaches the Validate phase
+// through the test seam: with a yield between Log and Redo, a worker's Redo
+// check finds that its sibling committed in between on any processor count.
 func TestContendedTransactionsUseValidatePhase(t *testing.T) {
+	yieldBetweenLogAndRedo(t)
 	eng, heap := testEngine(t, 1<<20, Config{LogEntries: 4096})
 	shared := heap.MustCarve(8)
 	private := make([]nvm.Addr, 8)
@@ -204,6 +217,29 @@ func TestContendedTransactionsUseValidatePhase(t *testing.T) {
 	if s.Persistent[ptm.OutcomeRedo] == 0 {
 		t.Fatalf("contended workload never used the Redo phase: %+v", s.Persistent)
 	}
+}
+
+// TestContendedTransactionsCommitThroughRedo pins what the server's workers
+// rely on: with nothing between the Log and Redo phases, two threads
+// incrementing one shared counter on one processor almost never see each
+// other commit inside that window, so Redo — not Validate — is how they
+// commit. Only a preemption landing in the window sends a transaction to
+// Validate.
+func TestContendedTransactionsCommitThroughRedo(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng, heap := testEngine(t, 1<<20, Config{LogEntries: 4096})
+	shared := heap.MustCarve(8)
+	private := []nvm.Addr{heap.MustCarve(8), heap.MustCarve(8)}
+	runCounterWorkload(t, eng, shared, private, 2000)
+	s := eng.Stats()
+	if got := heap.Load(shared); got != 4000 {
+		t.Fatalf("shared counter = %d, want 4000", got)
+	}
+	redo, all := s.Persistent[ptm.OutcomeRedo], s.Txns()
+	if redo*100 < all*99 {
+		t.Fatalf("%d of %d transactions committed through Redo, want ≥ 99%%: %+v", redo, all, s.Persistent)
+	}
+	t.Logf("%d of %d transactions committed through Redo", redo, all)
 }
 
 func TestBankInvariantUnderContention(t *testing.T) {

@@ -10,6 +10,14 @@ import (
 	"crafty/internal/ptm"
 )
 
+// betweenLogAndRedo, when not nil, runs after a transaction's undo entries
+// are flushed and before its Redo phase begins — the window in which, on
+// real hardware, other cores' transactions commit. It is a test seam and nil
+// in production: tests on one processor set it to runtime.Gosched so that a
+// sibling worker commits inside the window and the Validate phase runs (see
+// DESIGN.md §3). Set it only while no transaction is in flight.
+var betweenLogAndRedo func()
+
 // undoRec is the volatile mirror of one persisted undo entry.
 type undoRec struct {
 	addr nvm.Addr
@@ -238,13 +246,9 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 		// phase's hardware transaction commit provides the fence).
 		t.flusher.FlushRange(t.log.slotAddr(a.startSlot), (a.writes+1)*entryWords)
 
-		// Emulate the window between the Log and Redo phases in which the
-		// undo entries' cache-line write-backs travel to the persistence
-		// domain: on real hardware other cores' transactions commit during
-		// it. An emulation run with fewer schedulable processors than worker
-		// threads would otherwise almost never interleave here, hiding the
-		// Validate phase entirely (see DESIGN.md).
-		t.eng.phaseYield()
+		if betweenLogAndRedo != nil {
+			betweenLogAndRedo()
+		}
 
 		if !t.eng.cfg.DisableRedo {
 			rcause := t.redoPhase(a)
@@ -328,10 +332,10 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 // AtomicRead implements ptm.Thread: it executes body as one read-only
 // persistent transaction at the cost the paper's model promises for reads —
 // a single hardware transaction, with no undo-log space reservation, no
-// gLastRedoTS snapshot, no allocation scope, no persist operations, and no
-// phase yield. A read-only body publishes nothing, so nothing needs logging
-// or flushing: the hardware transaction alone provides the atomic snapshot
-// (DESIGN.md §6). Mutations fail the transaction with ptm.ErrReadOnlyTx.
+// gLastRedoTS snapshot, no allocation scope, and no persist operations. A
+// read-only body publishes nothing, so nothing needs logging or flushing:
+// the hardware transaction alone provides the atomic snapshot (DESIGN.md §6).
+// Mutations fail the transaction with ptm.ErrReadOnlyTx.
 // The hardware transaction, its retries and the single-global-lock fallback
 // are ptm.ROTx.ReadElided, the loop every lock-eliding engine shares; this
 // function adds Crafty's thread-unsafe arm and its off-path instruments.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -206,16 +207,28 @@ func TestTable1(t *testing.T) {
 }
 
 func TestCraftyBreakdownCategoriesAppear(t *testing.T) {
-	wl := bank.New(bank.Config{Contention: bank.HighContention, Threads: 4})
-	res := quick(t, Crafty, wl, 4, 400)
-	s := res.Stats
+	run := func() ptm.Stats {
+		wl := bank.New(bank.Config{Contention: bank.HighContention, Threads: 4})
+		return quick(t, Crafty, wl, 4, 400).Stats
+	}
+	s := run()
 	if s.Persistent[ptm.OutcomeRedo] == 0 {
 		t.Error("no Redo-committed transactions recorded")
 	}
-	if s.Persistent[ptm.OutcomeValidate] == 0 {
-		t.Error("no Validate-committed transactions recorded under high contention")
-	}
 	if s.HTM.Commits == 0 || s.HTM.Total() < s.HTM.Commits {
 		t.Errorf("implausible hardware transaction stats: %+v", s.HTM)
+	}
+	// On one processor the workers run one at a time and nothing commits
+	// between a transaction's Log and Redo phases, so Validate appears only
+	// where they run in parallel (core's own tests reach it on one
+	// processor through a test seam this package cannot set). A loaded host
+	// can still serialize one short run, so look for a while.
+	if runtime.GOMAXPROCS(0) == 1 {
+		return
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.Persistent[ptm.OutcomeValidate] == 0; s = run() {
+		if time.Now().After(deadline) {
+			t.Fatal("no Validate-committed transactions recorded under high contention in 10 s")
+		}
 	}
 }

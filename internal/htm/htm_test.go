@@ -1,10 +1,12 @@
 package htm
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"crafty/internal/nvm"
 )
@@ -16,15 +18,19 @@ func newEngine(t testing.TB, words int, cfg Config) *Engine {
 }
 
 // runUntilCommit retries a transaction until it commits; used by tests whose
-// subject is not the abort behaviour itself.
+// subject is not the abort behaviour itself. The bound is in time, not
+// attempts, and each retry yields: a sibling descheduled while it holds a
+// line's commit lock aborts every attempt until it runs again, which on a
+// loaded host outlasted 10,000 back-to-back attempts in about 2% of runs.
 func runUntilCommit(t testing.TB, th *Thread, body func(tx *Tx)) {
 	t.Helper()
-	for i := 0; i < 10000; i++ {
-		if th.Run(body) == CauseNone {
-			return
+	deadline := time.Now().Add(10 * time.Second)
+	for th.Run(body) != CauseNone {
+		if time.Now().After(deadline) {
+			t.Fatal("transaction failed to commit for 10 s")
 		}
+		runtime.Gosched()
 	}
-	t.Fatal("transaction failed to commit after 10000 attempts")
 }
 
 func TestCommitPublishesWrites(t *testing.T) {

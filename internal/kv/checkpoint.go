@@ -247,7 +247,7 @@ func ReopenWith(eng ptm.Engine, root nvm.Addr, opts ReopenOptions) (*Store, Reop
 		return nil, rep, fmt.Errorf("kv: no store at %d (magic %#x)", root, got)
 	}
 	if got := heap.Load(root + offVersion); got != version {
-		return nil, rep, fmt.Errorf("kv: store version %d, want %d", got, version)
+		return nil, rep, fmt.Errorf("%w: store at %d has version %d, this build reads %d", ErrVersion, root, got, version)
 	}
 	s := newStore(eng, root, int(heap.Load(root+offShards)))
 	if s.shards < 1 || s.shards&(s.shards-1) != 0 {

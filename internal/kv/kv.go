@@ -25,6 +25,7 @@ package kv
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -53,13 +54,20 @@ import (
 //	line 1: live entries, used slots (live + tombstones, active table),
 //	        zeroing cursor (words), migration cursor (old-table slots)
 //
-// Hash tables are arrays of two-word slots: a tag word (0 = empty,
-// 1 = tombstone, else the key's fingerprint with bit 63 forced) and the
-// address of the entry's block. Blocks hold one header word packing the key
-// and value lengths, then the key bytes and value bytes, eight per word.
+// Hash tables are arrays of one-word slots: 0 = empty, 1 = tombstone, else a
+// live entry packed as
+//
+//	bit 63:       set (so a live slot is never 0 or 1)
+//	bits 62..32:  slotHashBits bits of the key's hash, the ones above the
+//	              shard index that slotStart reads
+//	bits 31..0:   the entry block's line index (arena blocks are cache-line
+//	              aligned, so the line names the block)
+//
+// Blocks hold one header word packing the key and value lengths, then the
+// key bytes and value bytes, eight per word.
 const (
 	magicWord = 0x6b76634653544f52 // "kvcFSTOR"
-	version   = 1
+	version   = 2
 
 	offMagic        = 0
 	offVersion      = 1
@@ -89,14 +97,29 @@ const (
 
 	shardHeaderWords = 2 * nvm.WordsPerLine
 
-	slotWords    = 2
-	tagEmpty     = 0
-	tagTombstone = 1
-	fpBit        = uint64(1) << 63
+	slotWords     = 1
+	slotEmpty     = 0
+	slotTombstone = 1
+	slotLive      = uint64(1) << 63
+	slotLineBits  = 32
+	slotHashBits  = 63 - slotLineBits
+	slotLineMask  = uint64(1)<<slotLineBits - 1
+	slotHashMask  = uint64(1)<<slotHashBits - 1
+
+	// maxSlotsPerShard is the largest table the stored hash bits can index:
+	// migration re-derives an entry's probe start from them alone. A shard
+	// that would have to grow past it refuses the insert with ErrIndexFull.
+	maxSlotsPerShard = 1 << slotHashBits
+	// maxHeapWords is the largest heap whose every line a slot can name.
+	maxHeapWords = (slotLineMask + 1) * nvm.WordsPerLine
 
 	// Load factor threshold: a shard starts rehashing when more than
-	// loadNum/loadDen of its active slots are used (live + tombstones).
-	loadNum, loadDen = 3, 4
+	// loadNum/loadDen of its active slots are used (live + tombstones). The
+	// rehash doubles the table when more than rebuildNum/rebuildDen of the
+	// slots hold live entries, and otherwise rebuilds it at its own size to
+	// drop the tombstones.
+	loadNum, loadDen       = 3, 4
+	rebuildNum, rebuildDen = 5, 8
 
 	// zeroBatchWords bounds how many pending-table words one mutating
 	// operation zeroes; migrateBatch bounds how many live entries it moves.
@@ -128,11 +151,21 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Shards&(c.Shards-1) != 0 || c.Shards < 1 {
 		return c, fmt.Errorf("kv: Shards %d is not a power of two", c.Shards)
 	}
-	if c.InitialSlotsPerShard&(c.InitialSlotsPerShard-1) != 0 || c.InitialSlotsPerShard < 16 {
-		return c, fmt.Errorf("kv: InitialSlotsPerShard %d is not a power of two >= 16", c.InitialSlotsPerShard)
+	if c.InitialSlotsPerShard&(c.InitialSlotsPerShard-1) != 0 || c.InitialSlotsPerShard < 16 || c.InitialSlotsPerShard > maxSlotsPerShard {
+		return c, fmt.Errorf("kv: InitialSlotsPerShard %d is not a power of two in [16, %d]", c.InitialSlotsPerShard, maxSlotsPerShard)
 	}
 	return c, nil
 }
+
+// Typed failures.
+var (
+	// ErrIndexFull fails an insert that would need its shard's table to grow
+	// past maxSlotsPerShard, the largest a slot's stored hash bits can index.
+	ErrIndexFull = errors.New("kv: shard index full")
+	// ErrVersion fails ReopenWith on a store written in another persistent
+	// format version.
+	ErrVersion = errors.New("kv: unsupported store version")
+)
 
 // Store is a durable key-value store over one engine's heap. The volatile
 // struct only caches immutable facts (the root address, the shard count, and
@@ -191,6 +224,9 @@ func Create(eng ptm.Engine, th ptm.Thread, cfg Config) (*Store, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if words := eng.Heap().Words(); uint64(words) > maxHeapWords {
+		return nil, fmt.Errorf("kv: heap of %d words is larger than the %d a slot can address", words, maxHeapWords)
 	}
 	prepareArena(eng)
 	root, err := eng.Heap().Carve((1 + 2*cfg.Shards + ckptSlots) * nvm.WordsPerLine)
@@ -306,19 +342,30 @@ func hashKey(key []byte) uint64 {
 	return h
 }
 
-// fingerprint is the slot tag for a hash: bit 63 forced so it never collides
-// with the empty (0) or tombstone (1) markers. Slot indices are taken from
-// bits below 63, so the fingerprint alone can re-derive an entry's probe
-// sequence during migration.
-func fingerprint(h uint64) uint64 { return h | fpBit }
-
 func (s *Store) shardOf(h uint64) int { return int(h & uint64(s.shards-1)) }
 
+// slotHash returns the bits of hash h a slot stores: the slotHashBits bits
+// above the shard index. They hold every bit slotStart reads for tables of
+// up to maxSlotsPerShard slots, so a slot alone re-derives its entry's probe
+// sequence during migration, and they are the fingerprint a probe compares
+// before it reads any key bytes.
+func (s *Store) slotHash(h uint64) uint64 { return (h >> s.shardBits) & slotHashMask }
+
 // slotStart returns the probe start index for hash h in a table of the given
-// size. It uses bits above the shard index and below bit 63.
+// size.
 func (s *Store) slotStart(h uint64, slots uint64) uint64 {
-	return (h >> s.shardBits) & (slots - 1)
+	return s.slotHash(h) & (slots - 1)
 }
+
+// packSlot builds the live slot word for stored hash bits hash (slotHash) and
+// the cache-line-aligned block at block.
+func packSlot(hash uint64, block nvm.Addr) uint64 {
+	return slotLive | hash<<slotLineBits | uint64(block)/nvm.WordsPerLine
+}
+
+// slotHashOf and slotBlock unpack a live slot word.
+func slotHashOf(w uint64) uint64  { return w >> slotLineBits & slotHashMask }
+func slotBlock(w uint64) nvm.Addr { return nvm.Addr(w&slotLineMask) * nvm.WordsPerLine }
 
 // Entry block layout helpers. The header word packs the key length in its
 // upper 32 bits and the value length in its lower 32 bits; key bytes and then
@@ -407,21 +454,21 @@ func blockMatches(tx ptm.Tx, addr nvm.Addr, key []byte) bool {
 	return bytesEqual(tx, addr+1, key)
 }
 
-// probe scans the table for key (by fingerprint then full key compare) and
-// returns the address of the matching slot's tag word, or NilAddr. It stops
-// at the first empty slot; tombstones are skipped.
+// probe scans the table for key (by stored hash bits, then full key compare)
+// and returns the address of the matching slot, or NilAddr. It stops at the
+// first empty slot; tombstones are skipped.
 func (s *Store) probe(tx ptm.Tx, table nvm.Addr, slots uint64, h uint64, key []byte) nvm.Addr {
-	fp := fingerprint(h)
+	tag := packSlot(s.slotHash(h), 0)
 	idx := s.slotStart(h, slots)
 	for n := uint64(0); n < slots; n++ {
 		slot := table + nvm.Addr(((idx+n)&(slots-1))*slotWords)
-		switch tag := tx.Load(slot); tag {
-		case tagEmpty:
+		switch w := tx.Load(slot); w {
+		case slotEmpty:
 			return nvm.NilAddr
-		case tagTombstone:
+		case slotTombstone:
 			continue
 		default:
-			if tag == fp && blockMatches(tx, nvm.Addr(tx.Load(slot+1)), key) {
+			if w&^slotLineMask == tag && blockMatches(tx, slotBlock(w), key) {
 				return slot
 			}
 		}
@@ -445,7 +492,7 @@ func (s *Store) find(tx ptm.Tx, hdr nvm.Addr, h uint64, key []byte) nvm.Addr {
 // is the one place a slot becomes value bytes: block address, header, the
 // value words past the key.
 func slotValue(tx ptm.Tx, slot nvm.Addr, dst []byte) []byte {
-	block := nvm.Addr(tx.Load(slot + 1))
+	block := slotBlock(tx.Load(slot))
 	keyLen, valLen := unpackHeader(tx.Load(block))
 	return appendBytes(tx, block+1+nvm.Addr((keyLen+7)/8), valLen, dst)
 }
@@ -513,7 +560,7 @@ func validatePut(key, value []byte) error {
 // transactions keep rehash stepping on the per-op path instead.
 func (s *Store) putSlot(tx ptm.Tx, hdr nvm.Addr, h uint64, key, value []byte) error {
 	if slot := s.find(tx, hdr, h, key); slot != nvm.NilAddr {
-		old := nvm.Addr(tx.Load(slot + 1))
+		old := slotBlock(tx.Load(slot))
 		keyLen, oldValLen := unpackHeader(tx.Load(old))
 		if blockWords(keyLen, oldValLen) == blockWords(keyLen, len(value)) {
 			// In-place update: the new value occupies exactly the old one's
@@ -532,7 +579,7 @@ func (s *Store) putSlot(tx ptm.Tx, hdr nvm.Addr, h uint64, key, value []byte) er
 			return nil
 		}
 		s.stampShard(tx, hdr)
-		tx.Store(slot+1, uint64(writeBlock(tx, key, value)))
+		tx.Store(slot, packSlot(s.slotHash(h), writeBlock(tx, key, value)))
 		tx.Free(old)
 		return nil
 	}
@@ -542,29 +589,28 @@ func (s *Store) putSlot(tx ptm.Tx, hdr nvm.Addr, h uint64, key, value []byte) er
 	idx := s.slotStart(h, slots)
 	for n := uint64(0); n < slots; n++ {
 		slot := table + nvm.Addr(((idx+n)&(slots-1))*slotWords)
-		tag := tx.Load(slot)
-		if tag != tagEmpty && tag != tagTombstone {
+		w := tx.Load(slot)
+		if w != slotEmpty && w != slotTombstone {
 			continue
 		}
 		s.stampShard(tx, hdr)
-		tx.Store(slot+1, uint64(writeBlock(tx, key, value)))
-		tx.Store(slot, fingerprint(h))
+		tx.Store(slot, packSlot(s.slotHash(h), writeBlock(tx, key, value)))
 		tx.Store(hdr+shLive, tx.Load(hdr+shLive)+1)
-		if tag == tagEmpty {
+		if w == slotEmpty {
 			used := tx.Load(hdr+shUsed) + 1
 			tx.Store(hdr+shUsed, used)
-			s.maybeStartRehash(tx, hdr, used, slots)
+			return s.maybeStartRehash(tx, hdr, used, slots)
 		}
 		return nil
 	}
-	return fmt.Errorf("kv: shard table full (%d slots)", slots)
+	return fmt.Errorf("%w: %d slots, none free", ErrIndexFull, slots)
 }
 
 // deleteTxStep removes key within the caller's transaction, reporting whether
 // it was present, and returns the staged rehash-step mask for the caller, who
 // owns the enclosing transaction, to fold after commit. The slot becomes a
-// tombstone (reclaimed by the next rehash) and the entry's block is freed at
-// commit.
+// tombstone (reclaimed by the next rehash), or empty when it can, and the
+// entry's block is freed at commit.
 func (s *Store) deleteTxStep(tx ptm.Tx, h uint64, key []byte) (bool, rehashStep) {
 	hdr := s.shardHeader(s.shardOf(h))
 	step := s.stepRehash(tx, hdr)
@@ -572,16 +618,25 @@ func (s *Store) deleteTxStep(tx ptm.Tx, h uint64, key []byte) (bool, rehashStep)
 }
 
 // deleteSlot is the shard-local delete: deleteTxStep after the rehash step,
-// shared with the group-execution path (Apply).
+// shared with the group-execution path (Apply). A slot of the active table
+// whose successor is empty becomes empty instead of a tombstone: a probe
+// that reached it would stop at the successor anyway, so no live entry lies
+// beyond it on any probe path. That also drops the used count, which puts
+// off the next rehash.
 func (s *Store) deleteSlot(tx ptm.Tx, hdr nvm.Addr, h uint64, key []byte) bool {
 	slot := s.find(tx, hdr, h, key)
 	if slot == nvm.NilAddr {
 		return false
 	}
 	s.stampShard(tx, hdr)
-	block := nvm.Addr(tx.Load(slot + 1))
-	tx.Store(slot, tagTombstone)
-	tx.Store(slot+1, 0)
+	block := slotBlock(tx.Load(slot))
+	mark := uint64(slotTombstone)
+	table, slots := nvm.Addr(tx.Load(hdr+shTable)), tx.Load(hdr+shSlots)
+	if i := uint64(slot-table) / slotWords; i < slots && tx.Load(table+nvm.Addr(((i+1)&(slots-1))*slotWords)) == slotEmpty {
+		mark = slotEmpty
+		tx.Store(hdr+shUsed, tx.Load(hdr+shUsed)-1)
+	}
+	tx.Store(slot, mark)
 	tx.Store(hdr+shLive, tx.Load(hdr+shLive)-1)
 	tx.Free(block)
 	return true
@@ -610,8 +665,7 @@ func (s *Store) scanTable(tx ptm.Tx, table nvm.Addr, slots uint64, h uint64, n, 
 	idx := s.slotStart(h, slots)
 	for i := uint64(0); i < slots && seen < n; i++ {
 		slot := table + nvm.Addr(((idx+i)&(slots-1))*slotWords)
-		tag := tx.Load(slot)
-		if tag == tagEmpty || tag == tagTombstone {
+		if w := tx.Load(slot); w == slotEmpty || w == slotTombstone {
 			continue
 		}
 		dst = slotValue(tx, slot, dst)

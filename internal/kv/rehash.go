@@ -1,6 +1,8 @@
 package kv
 
 import (
+	"fmt"
+
 	"crafty/internal/nvm"
 	"crafty/internal/ptm"
 )
@@ -11,7 +13,8 @@ import (
 // so a crash at any point leaves a resumable protocol:
 //
 //	IDLE:      old == 0, pending == 0. One active table serves everything.
-//	ZEROING:   pending != 0. A double-size table has been allocated and is
+//	ZEROING:   pending != 0. A new table — double the size, or the same size
+//	           when tombstones filled the old one — has been allocated and is
 //	           being zeroed transactionally, zeroBatchWords per mutating
 //	           operation (the arena's own zeroing is not transactional, so a
 //	           table must be written through a Tx before any slot of it may
@@ -30,27 +33,42 @@ import (
 // steps, never a torn table.
 //
 // Progress argument: rehash starts when used > 3/4 * slots, leaving at least
-// slots/4 insertions before the active table can fill. Zeroing the 4*slots
-// pending words takes ceil(4*slots/zeroBatchWords) mutating operations and
-// migration at most ceil(slots/migrateBatch); with the package's constants
-// that sum stays safely under slots/4 for every table size >= 16 slots, and
-// only insertions (which drive both cursors) consume the margin.
+// slots/4 insertions before the active table can fill. Zeroing the at most
+// 2*slots pending words takes ceil(2*slots/zeroBatchWords) mutating
+// operations and migration at most ceil(slots/migrateBatch); with the
+// package's constants that sum stays safely under slots/4 for every table
+// size >= 16 slots, and only insertions (which drive both cursors) consume
+// the margin. The new table never fills either: a same-size one starts with
+// at most 5/8 * slots live entries and, by the same margin, receives fewer
+// than slots/4 insertions before the protocol ends.
 
 // maybeStartRehash begins a rehash if the shard is IDLE and past its load
-// threshold. Called with the post-insert used count.
-func (s *Store) maybeStartRehash(tx ptm.Tx, hdr nvm.Addr, used, slots uint64) {
+// threshold. Called with the post-insert used count. The new table doubles
+// the old one unless live entries fill at most rebuildNum/rebuildDen of the
+// slots: then tombstones are what filled the table, and the shard is rebuilt
+// at its own size, which drops them (migration copies live entries only). A
+// table already at maxSlotsPerShard cannot double, so the insert that would
+// need it to fails with ErrIndexFull and rolls back with its transaction.
+func (s *Store) maybeStartRehash(tx ptm.Tx, hdr nvm.Addr, used, slots uint64) error {
 	if used*loadDen <= slots*loadNum {
-		return
+		return nil
 	}
 	if tx.Load(hdr+shOld) != 0 || tx.Load(hdr+shPending) != 0 {
-		return // already in progress
+		return nil // already in progress
+	}
+	pendingSlots := slots
+	if tx.Load(hdr+shLive)*rebuildDen > slots*rebuildNum {
+		pendingSlots = slots * 2
+	}
+	if pendingSlots > maxSlotsPerShard {
+		return fmt.Errorf("%w: %d slots cannot double", ErrIndexFull, slots)
 	}
 	s.stampShard(tx, hdr)
-	pendingSlots := slots * 2
 	pending := tx.Alloc(int(pendingSlots) * slotWords)
 	tx.Store(hdr+shPending, uint64(pending))
 	tx.Store(hdr+shPendingSlots, pendingSlots)
 	tx.Store(hdr+shZeroCursor, 0)
+	return nil
 }
 
 // stepRehash advances the shard's rehash, if one is in progress, by one
@@ -111,14 +129,13 @@ func (s *Store) stepMigration(tx ptm.Tx, hdr, old nvm.Addr) rehashStep {
 	moved := 0
 	for cursor < oldSlots && moved < migrateBatch {
 		slot := old + nvm.Addr(cursor*slotWords)
-		tag := tx.Load(slot)
+		w := tx.Load(slot)
 		cursor++
-		if tag == tagEmpty || tag == tagTombstone {
+		if w == slotEmpty || w == slotTombstone {
 			continue
 		}
-		s.reinsert(tx, hdr, table, slots, tag, tx.Load(slot+1))
-		tx.Store(slot, tagTombstone)
-		tx.Store(slot+1, 0)
+		reinsert(tx, hdr, table, slots, w)
+		tx.Store(slot, slotTombstone)
 		moved++
 	}
 	tx.Store(hdr+shMigrate, cursor)
@@ -132,20 +149,19 @@ func (s *Store) stepMigration(tx ptm.Tx, hdr, old nvm.Addr) rehashStep {
 	return stepMigrateBatch
 }
 
-// reinsert places a migrated entry (tag fingerprint + block address) into the
-// active table. The fingerprint preserves every bit the probe sequence uses
-// (bit 63 is the only bit it forces, and slot indices come from lower bits),
-// so no key bytes need to be read. Migration never fails: the active table
-// is at least twice the old one's size.
-func (s *Store) reinsert(tx ptm.Tx, hdr, table nvm.Addr, slots uint64, tag, blockAddr uint64) {
-	idx := s.slotStart(tag&^fpBit, slots)
+// reinsert copies a migrated live slot word into the active table. The word
+// stores every hash bit the probe sequence of a table of up to
+// maxSlotsPerShard slots uses (slotHash), so no key bytes need to be read.
+// Migration never fails: the active table has room for every entry of the
+// old one (see the progress argument above).
+func reinsert(tx ptm.Tx, hdr, table nvm.Addr, slots uint64, w uint64) {
+	idx := slotHashOf(w) & (slots - 1)
 	for n := uint64(0); n < slots; n++ {
 		slot := table + nvm.Addr(((idx+n)&(slots-1))*slotWords)
 		switch t := tx.Load(slot); t {
-		case tagEmpty, tagTombstone:
-			tx.Store(slot, tag)
-			tx.Store(slot+1, blockAddr)
-			if t == tagEmpty {
+		case slotEmpty, slotTombstone:
+			tx.Store(slot, w)
+			if t == slotEmpty {
 				tx.Store(hdr+shUsed, tx.Load(hdr+shUsed)+1)
 			}
 			return

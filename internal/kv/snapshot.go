@@ -44,12 +44,11 @@ func (s *Store) Snapshot(heap *nvm.Heap, emit func(e SnapshotEntry) error) error
 		for _, t := range tables {
 			table, slots := nvm.Addr(t[0]), t[1]
 			for i := uint64(0); i < slots; i++ {
-				slot := table + nvm.Addr(i*slotWords)
-				tag := heap.Load(slot)
-				if tag == tagEmpty || tag == tagTombstone {
+				w := heap.Load(table + nvm.Addr(i*slotWords))
+				if w == slotEmpty || w == slotTombstone {
 					continue
 				}
-				block := nvm.Addr(heap.Load(slot + 1))
+				block := slotBlock(w)
 				if block == nvm.NilAddr || int(block) >= heap.Words() {
 					return fmt.Errorf("kv: snapshot: shard %d slot %d references block %d out of range", sh, i, block)
 				}

@@ -18,7 +18,7 @@ type VerifyReport struct {
 // Verify walks the whole index non-transactionally (all workers must be
 // stopped, exactly as at recovery time) and checks its invariants: header
 // sanity, per-shard counter consistency, every live slot's block parsing to a
-// key that hashes back to its fingerprint, shard, and probe window, and no
+// key that hashes back to the slot's stored hash bits and shard, and no
 // key or block appearing twice. It is the post-crash index check and the
 // workload driver's integrity check.
 func (s *Store) Verify(heap *nvm.Heap) (VerifyReport, error) {
@@ -42,8 +42,16 @@ func (s *Store) allShards() []int {
 // (and the paranoid reopen) is for.
 func (s *Store) verifyShards(heap *nvm.Heap, shardSet []int) (VerifyReport, error) {
 	var rep VerifyReport
-	blocks := map[nvm.Addr]string{}
-	keys := map[string]bool{}
+	// Size the duplicate checks for the live counters up front: growing two
+	// maps to a quarter million entries is a third of a pass. Every entry
+	// takes at least a line, which bounds a corrupt counter's hint.
+	limit := uint64(heap.Words() / nvm.WordsPerLine)
+	n := uint64(0)
+	for _, sh := range shardSet {
+		n = min(n+min(heap.Load(s.shardHeader(sh)+shLive), limit), limit)
+	}
+	blocks := make(map[nvm.Addr]string, n)
+	keys := make(map[string]bool, n)
 	for _, sh := range shardSet {
 		hdr := s.shardHeader(sh)
 		table := nvm.Addr(heap.Load(hdr + shTable))
@@ -57,12 +65,11 @@ func (s *Store) verifyShards(heap *nvm.Heap, shardSet []int) (VerifyReport, erro
 		var live, used uint64
 		count := func(table nvm.Addr, slots uint64, active bool) error {
 			for i := uint64(0); i < slots; i++ {
-				slot := table + nvm.Addr(i*slotWords)
-				tag := heap.Load(slot)
-				switch tag {
-				case tagEmpty:
+				w := heap.Load(table + nvm.Addr(i*slotWords))
+				switch w {
+				case slotEmpty:
 					continue
-				case tagTombstone:
+				case slotTombstone:
 					rep.Tombstones++
 					if active {
 						used++
@@ -73,8 +80,8 @@ func (s *Store) verifyShards(heap *nvm.Heap, shardSet []int) (VerifyReport, erro
 					used++
 				}
 				live++
-				block := nvm.Addr(heap.Load(slot + 1))
-				key, err := s.checkEntry(heap, sh, tag, block)
+				block := slotBlock(w)
+				key, err := s.checkEntry(heap, sh, w)
 				if err != nil {
 					return fmt.Errorf("kv: shard %d slot %d: %w", sh, i, err)
 				}
@@ -112,11 +119,12 @@ func (s *Store) verifyShards(heap *nvm.Heap, shardSet []int) (VerifyReport, erro
 	return rep, nil
 }
 
-// checkEntry validates one live slot's block and returns its key.
-func (s *Store) checkEntry(heap *nvm.Heap, sh int, tag uint64, block nvm.Addr) (string, error) {
-	if tag&fpBit == 0 {
-		return "", fmt.Errorf("invalid tag %#x", tag)
+// checkEntry validates one live slot word and its block and returns the key.
+func (s *Store) checkEntry(heap *nvm.Heap, sh int, w uint64) (string, error) {
+	if w&slotLive == 0 {
+		return "", fmt.Errorf("invalid slot word %#x", w)
 	}
+	block := slotBlock(w)
 	if block == nvm.NilAddr || int(block) >= heap.Words() {
 		return "", fmt.Errorf("block address %d out of range", block)
 	}
@@ -135,8 +143,8 @@ func (s *Store) checkEntry(heap *nvm.Heap, sh int, tag uint64, block nvm.Addr) (
 		}
 	}
 	h := hashKey(key)
-	if fingerprint(h) != tag {
-		return "", fmt.Errorf("block %d key %q hashes to %#x, slot tagged %#x", block, key, fingerprint(h), tag)
+	if s.slotHash(h) != slotHashOf(w) {
+		return "", fmt.Errorf("block %d key %q stores hash bits %#x, slot holds %#x", block, key, s.slotHash(h), slotHashOf(w))
 	}
 	if got := s.shardOf(h); got != sh {
 		return "", fmt.Errorf("key %q belongs to shard %d, found in shard %d", key, got, sh)
@@ -191,12 +199,11 @@ func (s *Store) reachableBlocksOf(heap *nvm.Heap, shardSet []int) ([]alloc.Block
 		}
 		for _, t := range tables {
 			for i := uint64(0); i < t.slots; i++ {
-				slot := t.base + nvm.Addr(i*slotWords)
-				tag := heap.Load(slot)
-				if tag == tagEmpty || tag == tagTombstone {
+				w := heap.Load(t.base + nvm.Addr(i*slotWords))
+				if w == slotEmpty || w == slotTombstone {
 					continue
 				}
-				block := nvm.Addr(heap.Load(slot + 1))
+				block := slotBlock(w)
 				keyLen, valLen := unpackHeader(heap.Load(block))
 				add(block, blockWords(keyLen, valLen), fmt.Sprintf("shard %d entry block", sh))
 			}
