@@ -381,18 +381,34 @@ func (a *Arena) takeFree(class int) (nvm.Addr, bool) {
 }
 
 // splitFree serves a class-sized request from a larger free block, returning
-// the remainder to the free lists. It takes the smallest block at least two
-// lines larger than class, and one exactly a line larger only when there is
-// none: a one-line remainder serves only one-line requests, and under
-// mixed-size churn (the kv store's size-changing updates) such holes pile up
-// faster than they are reused. The remainder's boundary header is written
-// before the caller shrinks the base block's header, so every crash-time
-// header chain describes either the old block or the split one.
+// the remainder to the free lists. Among the small classes it takes the
+// smallest block at least two lines larger than class, and one exactly a line
+// larger only when there is none: a one-line remainder serves only one-line
+// requests, and under mixed-size churn (the kv store's size-changing updates)
+// such holes pile up faster than they are reused. Only then does it split the
+// smallest large block, so a freed rehash table stays whole for the next
+// table of its size. The remainder's boundary header is written before the
+// caller shrinks the base block's header, so every crash-time header chain
+// describes either the old block or the split one.
 func (a *Arena) splitFree(class int, f *nvm.Flusher) (nvm.Addr, bool) {
 	for {
-		best := a.smallestFreeOver(class + nvm.WordsPerLine)
+		best := 0
+		lines := class / nvm.WordsPerLine
+		for l := lines + 2; l <= smallClassLines; l++ {
+			if len(a.freeSmall[l]) > 0 {
+				best = l * nvm.WordsPerLine
+				break
+			}
+		}
+		if best == 0 && lines+1 <= smallClassLines && len(a.freeSmall[lines+1]) > 0 {
+			best = (lines + 1) * nvm.WordsPerLine
+		}
 		if best == 0 {
-			best = a.smallestFreeOver(class)
+			for c, st := range a.freeLarge {
+				if c > class && len(*st) > 0 && (best == 0 || c < best) {
+					best = c
+				}
+			}
 		}
 		if best == 0 {
 			return nvm.NilAddr, false
@@ -407,23 +423,6 @@ func (a *Arena) splitFree(class int, f *nvm.Flusher) (nvm.Addr, bool) {
 		a.addFree(remBase, rem)
 		return addr, true
 	}
-}
-
-// smallestFreeOver returns the smallest class larger than words whose free
-// stack is not empty, or 0; callers hold mu.
-func (a *Arena) smallestFreeOver(words int) int {
-	for l := words/nvm.WordsPerLine + 1; l <= smallClassLines; l++ {
-		if len(a.freeSmall[l]) > 0 {
-			return l * nvm.WordsPerLine
-		}
-	}
-	best := 0
-	for c, st := range a.freeLarge {
-		if c > words && len(*st) > 0 && (best == 0 || c < best) {
-			best = c
-		}
-	}
-	return best
 }
 
 // Storer is the transactional write handle the TxLog routes block-header

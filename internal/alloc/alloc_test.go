@@ -167,25 +167,43 @@ func TestSetZeroFillDisablesZeroing(t *testing.T) {
 	}
 }
 
-// TestSplitAvoidsOneLineRemainders: a class miss splits the smallest block
-// that leaves at least two lines over, and a block one line larger only when
-// no such block is free.
-func TestSplitAvoidsOneLineRemainders(t *testing.T) {
-	a := newArena(t, 8192)
-	three := a.alloc(3 * nvm.WordsPerLine)
-	a.alloc(nvm.WordsPerLine) // guards keep the free blocks apart
-	five := a.alloc(5 * nvm.WordsPerLine)
-	a.alloc(nvm.WordsPerLine)
-	a.free(three, five)
-
-	if got := a.alloc(2 * nvm.WordsPerLine); got != five {
-		t.Fatalf("two-line request split %d, want the five-line block at %d", got, five)
+// TestSplitPrefersTwoLineRemainders: a two-line class miss splits the
+// smallest small block at least two lines larger, then a block one line
+// larger, and a large (spill-class) block only when no small one is free.
+func TestSplitPrefersTwoLineRemainders(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		free       []int // free block sizes in lines
+		wantLines  int   // the size of the block the request must split
+		remainders []int // free block sizes in lines afterwards
+	}{
+		{"two-line margin over one", []int{3, 5}, 5, []int{3, 3}},
+		{"one line over before a large block", []int{3, 128}, 3, []int{1, 128}},
+		{"large block last", []int{128}, 128, []int{126}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := newArena(t, 8192)
+			blocks := map[int]nvm.Addr{}
+			for _, lines := range c.free {
+				blocks[lines] = a.alloc(lines * nvm.WordsPerLine)
+				a.alloc(nvm.WordsPerLine) // guards keep the free blocks apart
+			}
+			for _, addr := range blocks {
+				a.free(addr)
+			}
+			if got, want := a.alloc(2*nvm.WordsPerLine), blocks[c.wantLines]; got != want {
+				t.Fatalf("two-line request split the block at %d, want the %d-line block at %d", got, c.wantLines, want)
+			}
+			want := 0
+			for _, lines := range c.remainders {
+				want += lines * nvm.WordsPerLine
+			}
+			if st := a.Stats(); st.FreeBlocks != len(c.remainders) || st.FreeWords != want {
+				t.Fatalf("after the split: %d free blocks of %d words, want %d of %d", st.FreeBlocks, st.FreeWords, len(c.remainders), want)
+			}
+			checkAccounting(t, a.Arena)
+		})
 	}
-	// Left: the three-line block and the five-line block's three-line tail.
-	if got := a.alloc(2 * nvm.WordsPerLine); got != three && got != five+2*nvm.WordsPerLine {
-		t.Fatalf("two-line request took %d, want one of the three-line blocks", got)
-	}
-	checkAccounting(t, a.Arena)
 }
 
 func TestSplitServesSmallRequestFromLargerFreeBlock(t *testing.T) {

@@ -103,16 +103,15 @@ const defaultTxBudget = 256
 // inside a group transaction: a put worst-case claims a slot (1: slots are one
 // word), bumps both shard counters (2), stamps the shard's dirty epoch (1),
 // fills a fresh entry block, and — when it replaces — flips the old block's
-// allocation header (1) alongside the new block's (1); a delete empties or
-// tombstones its slot (1), drops the live and — when it empties — the used
-// counter (2), stamps the epoch (1), and flips its block's header (1); a get
-// writes nothing.
+// allocation header (1) alongside the new block's (1); a delete tombstones its
+// slot (1), drops the live counter (1), stamps the epoch (1), and flips its
+// block's header (1); a get writes nothing.
 func opWriteCost(op *Op) int {
 	switch op.Kind {
 	case OpPut:
 		return 6 + blockWords(len(op.Key), len(op.Value))
 	case OpDelete:
-		return 5
+		return 4
 	default:
 		return 0
 	}

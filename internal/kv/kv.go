@@ -609,8 +609,8 @@ func (s *Store) putSlot(tx ptm.Tx, hdr nvm.Addr, h uint64, key, value []byte) er
 // deleteTxStep removes key within the caller's transaction, reporting whether
 // it was present, and returns the staged rehash-step mask for the caller, who
 // owns the enclosing transaction, to fold after commit. The slot becomes a
-// tombstone (reclaimed by the next rehash), or empty when it can, and the
-// entry's block is freed at commit.
+// tombstone (reclaimed by the next rehash) and the entry's block is freed at
+// commit.
 func (s *Store) deleteTxStep(tx ptm.Tx, h uint64, key []byte) (bool, rehashStep) {
 	hdr := s.shardHeader(s.shardOf(h))
 	step := s.stepRehash(tx, hdr)
@@ -618,11 +618,7 @@ func (s *Store) deleteTxStep(tx ptm.Tx, h uint64, key []byte) (bool, rehashStep)
 }
 
 // deleteSlot is the shard-local delete: deleteTxStep after the rehash step,
-// shared with the group-execution path (Apply). A slot of the active table
-// whose successor is empty becomes empty instead of a tombstone: a probe
-// that reached it would stop at the successor anyway, so no live entry lies
-// beyond it on any probe path. That also drops the used count, which puts
-// off the next rehash.
+// shared with the group-execution path (Apply).
 func (s *Store) deleteSlot(tx ptm.Tx, hdr nvm.Addr, h uint64, key []byte) bool {
 	slot := s.find(tx, hdr, h, key)
 	if slot == nvm.NilAddr {
@@ -630,13 +626,7 @@ func (s *Store) deleteSlot(tx ptm.Tx, hdr nvm.Addr, h uint64, key []byte) bool {
 	}
 	s.stampShard(tx, hdr)
 	block := slotBlock(tx.Load(slot))
-	mark := uint64(slotTombstone)
-	table, slots := nvm.Addr(tx.Load(hdr+shTable)), tx.Load(hdr+shSlots)
-	if i := uint64(slot-table) / slotWords; i < slots && tx.Load(table+nvm.Addr(((i+1)&(slots-1))*slotWords)) == slotEmpty {
-		mark = slotEmpty
-		tx.Store(hdr+shUsed, tx.Load(hdr+shUsed)-1)
-	}
-	tx.Store(slot, mark)
+	tx.Store(slot, slotTombstone)
 	tx.Store(hdr+shLive, tx.Load(hdr+shLive)-1)
 	tx.Free(block)
 	return true

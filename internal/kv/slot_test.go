@@ -114,41 +114,6 @@ func placedKeys(s *Store, slots uint64, n int) [][]byte {
 	return keys
 }
 
-// TestDeleteEmptiesSlotOnlyBeforeAnEmptyOne: a deleted slot whose successor
-// is empty becomes empty and leaves the used count; one that a probe may pass
-// becomes a tombstone.
-func TestDeleteEmptiesSlotOnlyBeforeAnEmptyOne(t *testing.T) {
-	eng, heap := newNonDurable(t, 1<<20, 1<<18)
-	th := eng.Register()
-	s := mustCreate(t, eng, th, Config{Shards: 1, InitialSlotsPerShard: 64})
-	hdr := s.shardHeader(0)
-	keys := placedKeys(s, 64, 3) // slots 0, 1, 2; slot 3 stays empty
-	for _, k := range keys {
-		if err := s.Put(th, k, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range []struct {
-		del              int
-		tombstones, used uint64
-	}{
-		{0, 1, 3}, // slot 1 is occupied: a probe from slot 0 must pass it
-		{2, 1, 2}, // slot 3 is empty
-	} {
-		if ok, err := s.Delete(th, keys[c.del]); err != nil || !ok {
-			t.Fatalf("delete slot %d: %v, %v", c.del, ok, err)
-		}
-		rep := mustVerify(t, s, heap)
-		if rep.Tombstones != c.tombstones || heap.Load(hdr+shUsed) != c.used {
-			t.Fatalf("after deleting slot %d: %d tombstones, used %d; want %d, %d",
-				c.del, rep.Tombstones, heap.Load(hdr+shUsed), c.tombstones, c.used)
-		}
-	}
-	if _, ok, err := s.Get(th, keys[1], nil); err != nil || !ok {
-		t.Fatalf("get slot 1's key past the tombstone: %v, %v", ok, err)
-	}
-}
-
 // TestTombstoneHeavyShardRebuildsAtItsOwnSize fills a table's used count
 // mostly with tombstones: the rehash it triggers must keep the table's size
 // and leave no tombstone behind.
@@ -158,7 +123,7 @@ func TestTombstoneHeavyShardRebuildsAtItsOwnSize(t *testing.T) {
 	s := mustCreate(t, eng, th, Config{Shards: 1, InitialSlotsPerShard: 64})
 	hdr := s.shardHeader(0)
 	// Keys on slots 0..47 fill exactly 3/4 of the table; deleting slots
-	// 0..43 in order leaves 44 tombstones, each before an occupied slot.
+	// 0..43 leaves 44 tombstones.
 	keys := placedKeys(s, 64, 49)
 	for _, k := range keys[:48] {
 		if err := s.Put(th, k, []byte("v")); err != nil {
