@@ -249,6 +249,9 @@ func Open(heap *nvm.Heap, layout Layout, cfg Config) (*Engine, error) {
 		sglAddr:         layout.GlobalsBase + offSGL,
 		metrics:         new(Metrics),
 	}
+	// gLastRedoTS may have persisted ahead of every surviving log timestamp;
+	// a Log phase stamped below it would fail every Redo check.
+	e.hw.AdvanceTimestamp(heap.Load(e.gLastRedoTSAddr))
 	if layout.ArenaWords > 0 {
 		var err error
 		if e.arena, err = alloc.NewArena(heap, layout.ArenaBase, layout.ArenaWords); err != nil {

@@ -118,25 +118,20 @@ func TestSequentialTransactionsAccumulate(t *testing.T) {
 	}
 }
 
-// runCounterWorkload hammers a shared counter and a set of disjoint
-// per-thread counters from several goroutines, returning the number of
-// committed increments of the shared counter.
-func runCounterWorkload(t *testing.T, eng *Engine, shared nvm.Addr, private []nvm.Addr, perThread int) int {
+// runWorkers runs perThread transactions of body on each of workers
+// goroutines, each with its own registered thread, returning how many each
+// committed.
+func runWorkers(t *testing.T, eng *Engine, workers, perThread int, body func(g int, tx ptm.Tx) error) []int {
 	t.Helper()
 	var wg sync.WaitGroup
-	committed := make([]int, len(private))
-	for g := range private {
+	committed := make([]int, workers)
+	for g := range workers {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			th := eng.Register()
 			for i := 0; i < perThread; i++ {
-				err := th.Atomic(func(tx ptm.Tx) error {
-					tx.Store(shared, tx.Load(shared)+1)
-					tx.Store(private[g], tx.Load(private[g])+1)
-					return nil
-				})
-				if err != nil {
+				if err := th.Atomic(func(tx ptm.Tx) error { return body(g, tx) }); err != nil {
 					t.Errorf("thread %d: %v", g, err)
 					return
 				}
@@ -145,6 +140,19 @@ func runCounterWorkload(t *testing.T, eng *Engine, shared nvm.Addr, private []nv
 		}(g)
 	}
 	wg.Wait()
+	return committed
+}
+
+// runCounterWorkload hammers a shared counter and a set of disjoint
+// per-thread counters from several goroutines, returning the number of
+// committed increments of the shared counter.
+func runCounterWorkload(t *testing.T, eng *Engine, shared nvm.Addr, private []nvm.Addr, perThread int) int {
+	t.Helper()
+	committed := runWorkers(t, eng, len(private), perThread, func(g int, tx ptm.Tx) error {
+		tx.Store(shared, tx.Load(shared)+1)
+		tx.Store(private[g], tx.Load(private[g])+1)
+		return nil
+	})
 	total := 0
 	for _, c := range committed {
 		total += c
@@ -200,16 +208,26 @@ func yieldBetweenLogAndRedo(t *testing.T) {
 
 // TestContendedTransactionsUseValidatePhase reaches the Validate phase
 // through the test seam: with a yield between Log and Redo, a worker's Redo
-// check finds that its sibling committed in between on any processor count.
+// check finds that a sibling committed in between on any processor count.
+// The workers increment disjoint counters, so every such Validate succeeds;
+// a shared counter would fail it and restart the transaction, whose next Log
+// phase then orders after the sibling's commit and goes through Redo.
 func TestContendedTransactionsUseValidatePhase(t *testing.T) {
 	yieldBetweenLogAndRedo(t)
 	eng, heap := testEngine(t, 1<<20, Config{LogEntries: 4096})
-	shared := heap.MustCarve(8)
 	private := make([]nvm.Addr, 8)
 	for i := range private {
 		private[i] = heap.MustCarve(8)
 	}
-	runCounterWorkload(t, eng, shared, private, 300)
+	runWorkers(t, eng, len(private), 300, func(g int, tx ptm.Tx) error {
+		tx.Store(private[g], tx.Load(private[g])+1)
+		return nil
+	})
+	for i, addr := range private {
+		if got := heap.Load(addr); got != 300 {
+			t.Fatalf("counter %d = %d, want 300", i, got)
+		}
+	}
 	s := eng.Stats()
 	if s.Persistent[ptm.OutcomeValidate] == 0 {
 		t.Fatalf("contended workload never used the Validate phase: %+v", s.Persistent)
@@ -240,6 +258,115 @@ func TestContendedTransactionsCommitThroughRedo(t *testing.T) {
 		t.Fatalf("%d of %d transactions committed through Redo, want ≥ 99%%: %+v", redo, all, s.Persistent)
 	}
 	t.Logf("%d of %d transactions committed through Redo", redo, all)
+}
+
+// commitOnce sets the betweenLogAndRedo seam, for the rest of the test, to
+// run commit the first time the window opens and to do nothing after, so
+// that the commit's own passage through the window does not recurse.
+func commitOnce(t *testing.T, commit func()) {
+	fired := false
+	betweenLogAndRedo = func() {
+		if !fired {
+			fired = true
+			commit()
+		}
+	}
+	t.Cleanup(func() { betweenLogAndRedo = nil })
+}
+
+// increment commits one increment of addr on th.
+func increment(th ptm.Thread, addr nvm.Addr) error {
+	return th.Atomic(func(tx ptm.Tx) error {
+		tx.Store(addr, tx.Load(addr)+1)
+		return nil
+	})
+}
+
+// outcomes returns th's committed transactions by outcome, failing the test
+// unless exactly one committed.
+func outcomes(t *testing.T, th ptm.Thread) [ptm.NumOutcomes]uint64 {
+	t.Helper()
+	s := th.Stats()
+	if s.Txns() != 1 {
+		t.Fatalf("%d transactions committed, want 1: %v", s.Txns(), s.Persistent)
+	}
+	return s.Persistent
+}
+
+// TestRedoWindowOpensAtLogCommit pins where the Redo phase's window begins:
+// a commit made while T1's body runs, before T1's Log phase commits, is
+// serialized before T1's reads and must not fail T1's Redo check.
+func TestRedoWindowOpensAtLogCommit(t *testing.T) {
+	eng, heap := testEngine(t, 1<<16, Config{LogEntries: 256})
+	mine, other := heap.MustCarve(8), heap.MustCarve(8)
+	t1, t2 := eng.Register(), eng.Register()
+	first := true
+	var otherErr error
+	//crafty:txsafe the body waits for T2's commit on its first execution only, guarded by first
+	if err := t1.Atomic(func(tx ptm.Tx) error {
+		if first {
+			first = false
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				otherErr = increment(t2, other)
+			}()
+			<-done
+		}
+		tx.Store(mine, tx.Load(mine)+1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if otherErr != nil {
+		t.Fatal(otherErr)
+	}
+	if got := outcomes(t, t1); got[ptm.OutcomeRedo] != 1 {
+		t.Fatalf("T1 outcomes %v, want one Redo commit", got)
+	}
+	if heap.Load(mine) != 1 || heap.Load(other) != 1 {
+		t.Fatalf("counters %d, %d, want 1, 1", heap.Load(mine), heap.Load(other))
+	}
+}
+
+// TestRedoWindowCommitInside pins what a commit between T1's Log and Redo
+// phases does to T1. A disjoint one fails T1's Redo check although it wrote
+// nothing T1 read, and Validate commits T1. A conflicting one fails Validate
+// too, and the restarted transaction, whose Log phase now orders after that
+// commit, goes through Redo.
+func TestRedoWindowCommitInside(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		conflict bool
+		want     ptm.Outcome
+	}{
+		{"disjoint", false, ptm.OutcomeValidate},
+		{"conflicting", true, ptm.OutcomeRedo},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, heap := testEngine(t, 1<<16, Config{LogEntries: 256})
+			mine, other := heap.MustCarve(8), heap.MustCarve(8)
+			want := uint64(1)
+			if tc.conflict {
+				other, want = mine, 2
+			}
+			t1, t2 := eng.Register(), eng.Register()
+			var otherErr error
+			commitOnce(t, func() { otherErr = increment(t2, other) })
+			if err := increment(t1, mine); err != nil {
+				t.Fatal(err)
+			}
+			if otherErr != nil {
+				t.Fatal(otherErr)
+			}
+			if got := outcomes(t, t1); got[tc.want] != 1 {
+				t.Fatalf("T1 outcomes %v, want one %v commit", got, tc.want)
+			}
+			if heap.Load(mine) != want || heap.Load(other) != want {
+				t.Fatalf("counters %d, %d, want %d", heap.Load(mine), heap.Load(other), want)
+			}
+		})
+	}
 }
 
 func TestBankInvariantUnderContention(t *testing.T) {

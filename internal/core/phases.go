@@ -70,11 +70,15 @@ func (t *Thread) logPhase(body func(tx ptm.Tx) error, a *attempt) htm.AbortCause
 
 // redoPhase attempts to commit the transaction's writes by applying the
 // volatile redo log inside a hardware transaction (Algorithm 2). It succeeds
-// only if no other thread has committed writes since this transaction began,
-// which the global gLastRedoTS timestamp check establishes conservatively:
-// a.redoSnapshot is the value of gLastRedoTS pre-read (with strong isolation)
-// when the persistent transaction started, and every data-publishing commit
-// in the system advances gLastRedoTS.
+// only if no other thread has committed writes between this transaction's
+// Log phase and now, which the global gLastRedoTS timestamp check
+// establishes: a.lastTS is the Log phase's commit timestamp and every
+// data-publishing commit (Redo, Validate, SGL) stores its own timestamp, from
+// the same clock, into gLastRedoTS. A commit stamped before a.lastTS is
+// serialized before the Log phase's reads — had it written a line the Log
+// phase read, that phase would have seen the write or aborted — and one
+// stamped after leaves gLastRedoTS above a.lastTS, because the stores to
+// gLastRedoTS are serialized on its one line in timestamp order.
 //
 // One emulation-specific subtlety: once another thread's commit has advanced
 // gLastRedoTS past this hardware transaction's TL2 snapshot, the
@@ -94,9 +98,9 @@ func (t *Thread) redoPhase(a *attempt) htm.AbortCause {
 			a.sglBusy = true
 			hwtx.Abort()
 		}
-		if hwtx.Load(t.eng.gLastRedoTSAddr) != a.redoSnapshot {
-			// Another thread committed writes since this transaction began;
-			// failing here is a necessary but not sufficient indication of a
+		if hwtx.Load(t.eng.gLastRedoTSAddr) > a.lastTS {
+			// Another thread committed writes since the Log phase; failing
+			// here is a necessary but not sufficient indication of a
 			// real conflict, so the Validate phase decides.
 			a.checkFailed = true
 			hwtx.Abort()

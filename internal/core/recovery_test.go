@@ -452,6 +452,45 @@ func TestReopenAfterRecoveryAndContinue(t *testing.T) {
 	}
 }
 
+// TestOpenAdvancesClockPastPersistedRedoTS covers the recovery edge of the
+// Redo check: gLastRedoTS's line is never flushed, so a crash can leave it
+// ahead of every timestamp in the surviving logs. Open must move the clock
+// past it, or every Log phase would be stamped below it and no transaction
+// could commit through Redo.
+func TestOpenAdvancesClockPastPersistedRedoTS(t *testing.T) {
+	eng, heap := testEngine(t, 1<<16, Config{LogEntries: 256})
+	cfg, layout := Config{LogEntries: 256}, eng.Layout()
+	counter := heap.MustCarve(8)
+	th0 := eng.Register()
+	for range 10 {
+		if err := increment(th0, counter); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	heap.Crash(nvm.PersistAll{})
+	report, err := Recover(heap, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	redoTS := layout.GlobalsBase + offGLastRedoTS
+	heap.Store(redoTS, report.MaxTimestamp+1000)
+	persistWord(heap, redoTS)
+
+	eng2, err := Open(heap, layout, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng2.AdvanceClock(report.MaxTimestamp)
+	th := eng2.Register()
+	if err := increment(th, counter); err != nil {
+		t.Fatal(err)
+	}
+	if got := outcomes(t, th); got[ptm.OutcomeRedo] != 1 {
+		t.Fatalf("first transaction after reopen: outcomes %v, want one Redo commit", got)
+	}
+}
+
 func TestRecoveryIdempotent(t *testing.T) {
 	heap := nvm.NewHeap(nvm.Config{Words: 1 << 18, PersistLatency: nvm.NoLatency, TrackPersistence: true})
 	eng, err := NewEngine(heap, Config{LogEntries: 256})

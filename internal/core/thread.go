@@ -34,18 +34,10 @@ type redoRec struct {
 // attempt carries the per-transaction state shared between the orchestration
 // loop and the hardware transaction bodies of the individual phases.
 type attempt struct {
-	// redoSnapshot is the value of gLastRedoTS pre-read (with strong
-	// isolation) when the persistent transaction began. The Redo phase's
-	// timestamp check compares against it; the snapshot is deliberately not
-	// refreshed when the transaction restarts from the Log phase, so a
-	// transaction that has already observed interference keeps committing
-	// through the Validate phase, which re-checks the data itself.
-	redoSnapshot uint64
-
 	// Set by the Log phase.
 	startSlot  int    // first undo log slot used by this transaction
 	markerSlot int    // slot holding the merged LOGGED/COMMITTED entry
-	lastTS     uint64 // timestamp of the LOGGED entry
+	lastTS     uint64 // the Log phase's commit timestamp (LOGGED entry); see redoPhase
 	writes     int    // persistent writes logged
 	readOnly   bool
 
@@ -192,24 +184,10 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 	t.txAlloc.Begin()
 
 	failures := 0
-
-	// Pre-read gLastRedoTS once for the whole persistent transaction; see
-	// attempt.redoSnapshot.
-	redoSnapshot := t.eng.hw.NonTxLoad(t.eng.gLastRedoTSAddr)
-
 	for {
-		if t.eng.cfg.DisableValidate {
-			// Crafty-NoValidate has no Validate phase to absorb a stale
-			// snapshot: gLastRedoTS is monotonic, so a snapshot from before
-			// some other thread's commit would fail the Redo check on every
-			// retry and degenerate the transaction to the SGL fallback.
-			// Refresh it per attempt instead, restoring the variant's
-			// retry-until-quiet behaviour.
-			redoSnapshot = t.eng.hw.NonTxLoad(t.eng.gLastRedoTSAddr)
-		}
 		t.ensureLogSpace()
 		a := &t.a
-		*a = attempt{redoSnapshot: redoSnapshot}
+		*a = attempt{}
 		cause := t.logPhase(body, a)
 		if a.userErr != nil {
 			return t.abandon(a.userErr)
@@ -332,7 +310,7 @@ func (t *Thread) Atomic(body func(tx ptm.Tx) error) error {
 // AtomicRead implements ptm.Thread: it executes body as one read-only
 // persistent transaction at the cost the paper's model promises for reads —
 // a single hardware transaction, with no undo-log space reservation, no
-// gLastRedoTS snapshot, no allocation scope, and no persist operations. A
+// Redo timestamp check, no allocation scope, and no persist operations. A
 // read-only body publishes nothing, so nothing needs logging or flushing:
 // the hardware transaction alone provides the atomic snapshot (DESIGN.md §6).
 // Mutations fail the transaction with ptm.ErrReadOnlyTx.
