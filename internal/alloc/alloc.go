@@ -28,9 +28,10 @@
 package alloc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"crafty/internal/nvm"
@@ -283,6 +284,20 @@ func (a *Arena) writeHeader(f *nvm.Flusher, addr nvm.Addr, classWords int, alloc
 	a.heap.Store(ha, packHeader(classWords/nvm.WordsPerLine, allocated))
 	if a.tracking {
 		f.Flush(ha)
+	}
+}
+
+// rewriteHeader is writeHeader on the recovery flusher for a header that
+// most often already holds the value: it stores only a header that differs,
+// and flushes either way, since a header that holds the value may not have
+// reached media yet.
+func (a *Arena) rewriteHeader(addr nvm.Addr, classWords int, allocated bool) {
+	ha := a.headerAddr(addr)
+	if h := packHeader(classWords/nvm.WordsPerLine, allocated); a.heap.Load(ha) != h {
+		a.heap.Store(ha, h)
+	}
+	if a.tracking {
+		a.syncf.Flush(ha)
 	}
 }
 
@@ -648,9 +663,8 @@ func (a *Arena) recoverFromHeaders() RecoverReport {
 // callers hold mu.
 func (a *Arena) reconcile(reachable []Block) (RecoverReport, error) {
 	var rep RecoverReport
-	blocks := make([]Block, len(reachable))
-	copy(blocks, reachable)
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Addr < blocks[j].Addr })
+	blocks := slices.Clone(reachable)
+	slices.SortFunc(blocks, func(x, y Block) int { return cmp.Compare(x.Addr, y.Addr) })
 	dataEnd := a.dataBase + nvm.Addr(a.dataLines*nvm.WordsPerLine)
 	for i, b := range blocks {
 		if b.Words <= 0 {
@@ -679,17 +693,22 @@ func (a *Arena) reconcile(reachable []Block) (RecoverReport, error) {
 			rep.ForcedLive++
 		}
 	}
-	seen := make(map[nvm.Addr]bool, len(blocks))
-	for _, b := range blocks {
-		seen[b.Addr] = true
-	}
+	// Both walks run in address order, so a header-live block is reachable
+	// exactly when the block cursor stops on its address.
+	i := 0
 	for line := 0; a.lineAddr(line) < a.next; {
 		v := a.lineState[line]
 		if lsState(v) == lsUnknown || lsLines(v) <= 0 {
 			break // quarantined or unparseable region: nothing to report past it
 		}
-		if lsState(v) == lsAllocBase && !seen[a.lineAddr(line)] {
-			rep.Dropped++
+		if lsState(v) == lsAllocBase {
+			addr := a.lineAddr(line)
+			for i < len(blocks) && blocks[i].Addr < addr {
+				i++
+			}
+			if i == len(blocks) || blocks[i].Addr != addr {
+				rep.Dropped++
+			}
 		}
 		line += lsLines(v)
 	}
@@ -712,16 +731,16 @@ func (a *Arena) reconcile(reachable []Block) (RecoverReport, error) {
 		class := sizeClass(b.Words)
 		if b.Addr > cursor {
 			gap := int(b.Addr - cursor)
-			a.writeHeader(a.syncf, cursor, gap, false)
+			a.rewriteHeader(cursor, gap, false)
 			a.addFree(cursor, gap)
 		}
-		a.writeHeader(a.syncf, b.Addr, class, true)
+		a.rewriteHeader(b.Addr, class, true)
 		a.markAlloc(b.Addr, class)
 		cursor = b.Addr + nvm.Addr(class)
 	}
 	if cursor < a.next {
 		gap := int(a.next - cursor)
-		a.writeHeader(a.syncf, cursor, gap, false)
+		a.rewriteHeader(cursor, gap, false)
 		a.addFree(cursor, gap)
 	}
 	a.persistHighWater(a.syncf)

@@ -149,8 +149,9 @@ func (c Config) withDefaults() Config {
 // and callers here keep it alongside the heap.
 type Layout struct {
 	// GlobalsBase is the base of the globals region; the words at fixed
-	// offsets hold gLastRedoTS and the single global lock. Each occupies its
-	// own cache line to avoid false transactional conflicts.
+	// offsets hold gLastRedoTS and the single global lock, each on its own
+	// cache line to avoid false transactional conflicts, and Recover's
+	// log-invalidation record beside the lock.
 	GlobalsBase nvm.Addr
 	// DirectoryBase is the base of the persistent log directory: one word
 	// per thread slot holding that slot's undo log base address (0 = slot
@@ -169,6 +170,7 @@ type Layout struct {
 const (
 	offGLastRedoTS = 0 * nvm.WordsPerLine
 	offSGL         = 1 * nvm.WordsPerLine
+	offLogsInvalid = offSGL + 1
 	globalsWords   = 2 * nvm.WordsPerLine
 )
 
@@ -327,15 +329,15 @@ func (e *Engine) RegisterThread() (*Thread, error) {
 	hwThread := e.hw.NewThread(int64(slot))
 	flusher := hwThread.Flusher()
 	if existing := e.heap.Load(dirWord); existing != 0 {
-		// Reuse the log region a previous incarnation of this slot carved
-		// (post-recovery). The region is zeroed so that stale entries from
-		// before the crash cannot be mistaken for fresh ones.
+		// Reuse the log region a previous incarnation of this slot carved.
+		// Stale entries must not be mistaken for fresh ones, so the region
+		// must be zero. Recover leaves every log zero and durable, so after
+		// a crash this only reads; a log an engine left behind without a
+		// crash is zeroed here.
 		base := nvm.Addr(existing)
-		for w := base; w < base+nvm.Addr(e.cfg.LogEntries*entryWords); w++ {
-			e.heap.Store(w, 0)
+		if zeroLines(e.heap, flusher, base, e.cfg.LogEntries*entryWords) {
+			flusher.Drain()
 		}
-		flusher.FlushRange(base, e.cfg.LogEntries*entryWords)
-		flusher.Drain()
 		log = openUndoLog(e.heap, base, e.cfg.LogEntries)
 	} else {
 		var err error

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -62,6 +63,17 @@ func (b *logBuilder) put(slot int, tag, payload, wrap uint64) {
 	b.heap.Store(b.base+nvm.Addr(slot*entryWords)+1, payloadWord)
 }
 
+// entries decodes a scanned sequence's data entries, oldest first.
+func (b *logBuilder) entries(s sequence) []undoRec {
+	var out []undoRec
+	for i := s.start; i < s.end; i++ {
+		addr := b.base + nvm.Addr(i*entryWords)
+		tag, old, _, _ := decodeEntry(b.heap.Load(addr), b.heap.Load(addr+1))
+		out = append(out, undoRec{addr: nvm.Addr(tag), old: old})
+	}
+	return out
+}
+
 func TestScanLogFindsSequences(t *testing.T) {
 	heap := nvm.NewHeap(nvm.Config{Words: 1 << 14, PersistLatency: nvm.NoLatency})
 	b := newLogBuilder(t, heap, 32)
@@ -73,14 +85,14 @@ func TestScanLogFindsSequences(t *testing.T) {
 	b.put(3, 102, 9, 1)
 	b.put(4, markerLogged, 12, 1)
 
-	seqs := scanLog(heap, b.base, 32, 0)
-	if len(seqs) != 2 {
-		t.Fatalf("found %d sequences, want 2: %+v", len(seqs), seqs)
+	seqs, used := scanLog(heap, b.base, 32, nil)
+	if len(seqs) != 2 || used != 5 {
+		t.Fatalf("found %d sequences in %d used slots, want 2 in 5: %+v", len(seqs), used, seqs)
 	}
-	if seqs[0].ts != 10 || len(seqs[0].entries) != 2 || seqs[0].entries[0].addr != 100 || seqs[0].entries[0].old != 7 {
-		t.Fatalf("first sequence wrong: %+v", seqs[0])
+	if e := b.entries(seqs[0]); seqs[0].ts != 10 || len(e) != 2 || e[0].addr != 100 || e[0].old != 7 {
+		t.Fatalf("first sequence wrong: %+v %+v", seqs[0], e)
 	}
-	if seqs[1].ts != 12 || len(seqs[1].entries) != 1 {
+	if seqs[1].ts != 12 || len(b.entries(seqs[1])) != 1 {
 		t.Fatalf("second sequence wrong: %+v", seqs[1])
 	}
 }
@@ -97,9 +109,9 @@ func TestScanLogIgnoresTornEntries(t *testing.T) {
 	// includes garbage, nor may anything after it in the run be trusted.
 	b.put(1, markerCommitted, 10, 1)
 
-	seqs := scanLog(heap, b.base, 32, 0)
+	seqs, _ := scanLog(heap, b.base, 32, nil)
 	for _, s := range seqs {
-		if len(s.entries) != 0 {
+		if s.end != s.start {
 			t.Fatalf("torn entry leaked into a sequence: %+v", s)
 		}
 	}
@@ -122,7 +134,7 @@ func TestScanLogSeparatesEpochs(t *testing.T) {
 	b.put(6, 303, 4, 1)
 	b.put(7, markerCommitted, 30, 1)
 
-	seqs := scanLog(heap, b.base, 8, 0)
+	seqs, _ := scanLog(heap, b.base, 8, nil)
 	if len(seqs) != 2 {
 		t.Fatalf("found %d sequences, want 2 (new-epoch one and the intact old one): %+v", len(seqs), seqs)
 	}
@@ -521,5 +533,243 @@ func TestRecoveryIdempotent(t *testing.T) {
 	}
 	if got := heap.Load(counter); got != first {
 		t.Fatalf("second recovery changed state: %d -> %d", first, got)
+	}
+}
+
+// persistRange is a crash policy that keeps the unfenced words of [lo, hi)
+// and loses every other one.
+type persistRange struct{ lo, hi nvm.Addr }
+
+func (p persistRange) Persist(a nvm.Addr) bool { return a >= p.lo && a < p.hi }
+
+// errStopped is the panic value a beforeZeroDrain hook uses to stop Recover
+// at the crash it injected.
+type errStopped struct{}
+
+// recoverCrashingBeforeZeroDrain runs Recover with a hook that, once the logs'
+// zeroes are stored and flushed but not drained, crashes the heap under
+// policy and stops Recover there, as a power failure at that instant would.
+func recoverCrashingBeforeZeroDrain(t *testing.T, heap *nvm.Heap, layout Layout, policy nvm.CrashPolicy) {
+	t.Helper()
+	beforeZeroDrain = func() {
+		heap.Crash(policy)
+		panic(errStopped{})
+	}
+	defer func() { beforeZeroDrain = nil }()
+	defer func() {
+		if r := recover(); r != (errStopped{}) {
+			t.Fatalf("Recover was not stopped at the zeroing's drain (recovered %v)", r)
+		}
+	}()
+	if _, err := Recover(heap, layout); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverInterruptedInvalidationKeepsNewestSequences: a crash while
+// Recover zeroes the logs can persist any subset of the zeroes. Here exactly
+// the zeroes of thread A's newest sequence persist. Without a durable record
+// that the rollback is complete, the next Recover sees A's older sequence as
+// A's newest, lowers the bound R below it, and rolls back three sequences
+// (a1, b1, b2) where the first Recover kept a1 and b1.
+func TestRecoverInterruptedInvalidationKeepsNewestSequences(t *testing.T) {
+	eng, heap := testEngine(t, 1<<16, Config{LogEntries: 64})
+	layout := eng.Layout()
+	data := heap.MustCarve(4 * nvm.WordsPerLine)
+	x, y, p, q := data, data+nvm.WordsPerLine, data+2*nvm.WordsPerLine, data+3*nvm.WordsPerLine
+	a, b := eng.Register().(*Thread), eng.Register().(*Thread)
+	for _, step := range []struct {
+		th   *Thread
+		addr nvm.Addr
+	}{{a, x}, {b, y}, {a, p}, {b, q}} { // a1 < b1 < a2 < b2
+		if err := increment(step.th, step.addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap.Crash(nvm.PersistAll{})
+
+	seqs, _ := scanLog(heap, a.log.base, layout.LogEntries, nil)
+	seqs, _ = scanLog(heap, b.log.base, layout.LogEntries, seqs)
+	if len(seqs) != 4 {
+		t.Fatalf("the logs hold %d sequences, want 4", len(seqs))
+	}
+	a2, b2 := seqs[1], seqs[3]
+	recoverCrashingBeforeZeroDrain(t, heap, layout, persistRange{
+		lo: a2.base + nvm.Addr(a2.start*entryWords),
+		hi: a2.base + nvm.Addr((a2.end+1)*entryWords),
+	})
+
+	report, err := Recover(heap, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.SequencesRolledBack != 0 {
+		t.Fatalf("the Recover after the interrupted one rolled back %d sequences: %+v", report.SequencesRolledBack, report)
+	}
+	if report.MaxTimestamp != b2.ts {
+		t.Fatalf("MaxTimestamp = %d, want b2's %d", report.MaxTimestamp, b2.ts)
+	}
+	for name, c := range map[string]struct {
+		addr nvm.Addr
+		want uint64
+	}{"x": {x, 1}, "y": {y, 1}, "p": {p, 0}, "q": {q, 0}} {
+		if got := heap.Load(c.addr); got != c.want {
+			t.Errorf("%s = %d after recovery, want %d", name, got, c.want)
+		}
+	}
+	assertRecovered(t, heap, layout)
+}
+
+// assertRecovered checks what a finished Recover leaves behind: every log
+// and the invalidation record zero in media, and nothing for another Recover
+// to do.
+func assertRecovered(t *testing.T, heap *nvm.Heap, layout Layout) {
+	t.Helper()
+	if r := heap.MediaLoad(layout.GlobalsBase + offLogsInvalid); r != 0 {
+		t.Fatalf("invalidation record %#x still set", r)
+	}
+	for slot := 0; slot < layout.MaxThreads; slot++ {
+		base := nvm.Addr(heap.Load(layout.DirectoryBase + nvm.Addr(slot)))
+		if base == nvm.NilAddr {
+			continue
+		}
+		for w := base; w < base+nvm.Addr(layout.LogEntries*entryWords); w++ {
+			if heap.MediaLoad(w) != 0 {
+				t.Fatalf("log %d word %d is %#x in media after recovery", slot, w-base, heap.MediaLoad(w))
+			}
+		}
+	}
+	if report, err := Recover(heap, layout); err != nil || report.SequencesFound != 0 {
+		t.Fatalf("another Recover found work: %+v, %v", report, err)
+	}
+}
+
+// interleavedHistory runs a seeded history of single-word increments by three
+// threads, driven round robin from one goroutine, so that the same seed gives
+// the same heap, timestamps included. It crashes keeping each unfenced word
+// with probability one half.
+func interleavedHistory(t *testing.T, seed int64) (*nvm.Heap, Layout, nvm.Addr) {
+	t.Helper()
+	eng, heap := testEngine(t, 1<<17, Config{LogEntries: 128})
+	const words = 16
+	data := heap.MustCarve(words * nvm.WordsPerLine)
+	ths := []ptm.Thread{eng.Register(), eng.Register(), eng.Register()}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 90; i++ {
+		addr := data + nvm.Addr(rng.Intn(words)*nvm.WordsPerLine)
+		if err := increment(ths[i%len(ths)], addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap.Crash(nvm.NewRandomPolicy(seed, 0.5))
+	return heap, eng.Layout(), data
+}
+
+// TestRecoverInterruptedInvalidationRandomCrash stops Recover before its
+// zeroing drains and crashes under a random policy; finishing recovery must
+// then land on exactly the state an uninterrupted Recover reaches from the
+// same crash, and report the same MaxTimestamp.
+func TestRecoverInterruptedInvalidationRandomCrash(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		want, layout, data := interleavedHistory(t, seed)
+		wantReport, err := Recover(want, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantReport.SequencesRolledBack == 0 {
+			t.Fatalf("seed %d: the reference recovery rolled nothing back", seed)
+		}
+
+		got, _, _ := interleavedHistory(t, seed)
+		recoverCrashingBeforeZeroDrain(t, got, layout, nvm.NewRandomPolicy(1000+seed, 0.5))
+		report, err := Recover(got, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.MaxTimestamp != wantReport.MaxTimestamp || report.SequencesRolledBack != 0 {
+			t.Fatalf("seed %d: finishing an interrupted Recover reported %+v, want MaxTimestamp %d and no rollback",
+				seed, report, wantReport.MaxTimestamp)
+		}
+		for w := data; w < data+16*nvm.WordsPerLine; w += nvm.WordsPerLine {
+			if g, e := got.Load(w), want.Load(w); g != e {
+				t.Fatalf("seed %d: word %d recovered to %d, an uninterrupted Recover gives %d", seed, w, g, e)
+			}
+		}
+		assertRecovered(t, got, layout)
+	}
+}
+
+// TestRecoverAllocationsFlatInLogEntries: Recover reads each log in place, so
+// what it allocates follows the sequences it finds, not the logs' capacity.
+func TestRecoverAllocationsFlatInLogEntries(t *testing.T) {
+	allocated := func(logEntries int) uint64 {
+		eng, heap := testEngine(t, 1<<20, Config{LogEntries: logEntries})
+		counter := heap.MustCarve(8)
+		th0, th1 := eng.Register(), eng.Register()
+		for i := 0; i < 200; i++ {
+			if err := increment([]ptm.Thread{th0, th1}[i%2], counter); err != nil {
+				t.Fatal(err)
+			}
+		}
+		heap.Crash(nvm.PersistAll{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		report, err := Recover(heap, eng.Layout())
+		runtime.ReadMemStats(&after)
+		if err != nil || report.SequencesFound != 200 {
+			t.Fatalf("LogEntries %d: %+v, %v", logEntries, report, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := allocated(1<<12), allocated(1<<16)
+	t.Logf("Recover allocated %d bytes at 2^12 log entries, %d at 2^16", small, large)
+	if large > small+1024 {
+		t.Fatalf("Recover allocated %d bytes at 2^16 log entries against %d at 2^12", large, small)
+	}
+}
+
+// TestRegisterSkipsZeroLog: Recover leaves every log zero and durable, so
+// registering threads on the recovered heap reads the logs and persists
+// nothing; a log an engine left behind without a crash is still zeroed.
+func TestRegisterSkipsZeroLog(t *testing.T) {
+	cfg := Config{LogEntries: 256}
+	eng, heap := testEngine(t, 1<<17, cfg)
+	layout := eng.Layout()
+	counter := heap.MustCarve(8)
+	th := eng.Register()
+	for range 20 {
+		if err := increment(th, counter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Close()
+
+	// Without a crash the old log still holds entries: Register zeroes it.
+	eng2, err := Open(heap, layout, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := eng2.Register().(*Thread).log.base
+	for w := base; w < base+nvm.Addr(cfg.LogEntries*entryWords); w++ {
+		if heap.MediaLoad(w) != 0 {
+			t.Fatalf("reused log word %d is %#x in media after Register", w-base, heap.MediaLoad(w))
+		}
+	}
+	eng2.Close()
+
+	// After Recover there is nothing left to zero.
+	heap.Crash(nvm.PersistAll{})
+	if _, err := Recover(heap, layout); err != nil {
+		t.Fatal(err)
+	}
+	eng3, err := Open(heap, layout, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := heap.Stats()
+	eng3.Register()
+	if after := heap.Stats(); after.Flushes != before.Flushes || after.Drains != before.Drains {
+		t.Fatalf("Register on a recovered heap flushed %d lines and drained %d times",
+			after.Flushes-before.Flushes, after.Drains-before.Drains)
 	}
 }

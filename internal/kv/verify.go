@@ -86,14 +86,17 @@ func (s *Store) verifyShards(heap *nvm.Heap, shardSet []int) (VerifyReport, erro
 				if err != nil {
 					return fmt.Errorf("kv: shard %d slot %d: %w", sh, i, err)
 				}
+				// The block check comes first: two slots naming one block
+				// also name one key, and only this check says which fault
+				// it is.
+				if prev, ok := blocks[block]; ok {
+					return fmt.Errorf("kv: shard %d slot %d: block %d (key %q) referenced by both this slot and an earlier one", sh, i, block, prev)
+				}
+				blocks[block] = key
 				if keys[key] {
 					return fmt.Errorf("kv: shard %d slot %d: duplicate key %q", sh, i, key)
 				}
 				keys[key] = true
-				if prev, ok := blocks[block]; ok {
-					return fmt.Errorf("kv: block %d referenced by both %q and %q", block, prev, key)
-				}
-				blocks[block] = key
 			}
 			return nil
 		}
