@@ -97,10 +97,20 @@ func scanLog(heap *nvm.Heap, base nvm.Addr, capEntries int, seqs []sequence) ([]
 // MaxTimestamp.
 const logsInvalid = uint64(1) << 63
 
-// beforeZeroDrain, when non-nil, runs after Recover has stored and flushed
-// the zeroes that invalidate the logs and before it drains them. Tests set it
-// to crash the heap there; production leaves it nil.
-var beforeZeroDrain func()
+// drainPoint names one of Recover's drains that follows a store of recovery
+// state a crash must not tear.
+type drainPoint int
+
+const (
+	// recordDrain: the invalidation record is stored and flushed.
+	recordDrain drainPoint = iota
+	// zeroDrain: the zeroes that invalidate the logs are stored and flushed.
+	zeroDrain
+)
+
+// beforeDrain, when non-nil, runs just before Recover drains at point. Tests
+// set it to crash the heap there; production leaves it nil.
+var beforeDrain func(point drainPoint)
 
 // Recover restores the heap to a crash-consistent state using the log
 // directory recorded in layout. It must run before any new transactions
@@ -155,20 +165,26 @@ func Recover(heap *nvm.Heap, layout Layout) (ptm.RecoveryReport, error) {
 		}
 		report.SequencesFound = len(all)
 		rollBack(heap, flusher, all, &report)
-		// The restored state must itself be durable before the logs that
-		// could restore it again are invalidated.
+		// The restored state must itself be durable before the record that
+		// stops the next Recover from restoring it again: a crash before one
+		// drain of both could persist the record without some restored words.
+		flusher.Drain()
 		heap.Store(record, logsInvalid|report.MaxTimestamp)
 		flusher.Flush(record)
+		if beforeDrain != nil {
+			beforeDrain(recordDrain)
+		}
 		flusher.Drain()
 	}
 
 	// Invalidate every log so that a subsequent crash (before the logs are
 	// reused) does not roll the same sequences back again against new state.
+	// Stopping at each log's used extent spares re-reading its zero tail.
 	for _, x := range used {
 		zeroLines(heap, flusher, x.base, x.used*entryWords)
 	}
-	if beforeZeroDrain != nil {
-		beforeZeroDrain()
+	if beforeDrain != nil {
+		beforeDrain(zeroDrain)
 	}
 	flusher.Drain()
 	heap.Store(record, 0)

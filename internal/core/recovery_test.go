@@ -542,28 +542,90 @@ type persistRange struct{ lo, hi nvm.Addr }
 
 func (p persistRange) Persist(a nvm.Addr) bool { return a >= p.lo && a < p.hi }
 
-// errStopped is the panic value a beforeZeroDrain hook uses to stop Recover
-// at the crash it injected.
+// errStopped is the panic value a beforeDrain hook uses to stop Recover at
+// the crash it injected.
 type errStopped struct{}
 
-// recoverCrashingBeforeZeroDrain runs Recover with a hook that, once the logs'
-// zeroes are stored and flushed but not drained, crashes the heap under
-// policy and stops Recover there, as a power failure at that instant would.
-func recoverCrashingBeforeZeroDrain(t *testing.T, heap *nvm.Heap, layout Layout, policy nvm.CrashPolicy) {
+// recoverCrashingAt runs Recover with a hook that, once Recover reaches the
+// drain at point, crashes the heap under policy and stops Recover there, as a
+// power failure at that instant would.
+func recoverCrashingAt(t *testing.T, heap *nvm.Heap, layout Layout, at drainPoint, policy nvm.CrashPolicy) {
 	t.Helper()
-	beforeZeroDrain = func() {
-		heap.Crash(policy)
-		panic(errStopped{})
+	beforeDrain = func(point drainPoint) {
+		if point == at {
+			heap.Crash(policy)
+			panic(errStopped{})
+		}
 	}
-	defer func() { beforeZeroDrain = nil }()
+	defer func() { beforeDrain = nil }()
 	defer func() {
 		if r := recover(); r != (errStopped{}) {
-			t.Fatalf("Recover was not stopped at the zeroing's drain (recovered %v)", r)
+			t.Fatalf("Recover was not stopped at drain point %d (recovered %v)", at, r)
 		}
 	}()
 	if _, err := Recover(heap, layout); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fourSequences is a crashed heap whose two logs hold four sequences, each
+// incrementing its own word once, in the order a1 < b1 < a2 < b2: thread A
+// writes x then p, thread B writes y then q. Recovery rolls back a2 and b2.
+type fourSequences struct {
+	heap       *nvm.Heap
+	layout     Layout
+	x, y, p, q nvm.Addr
+	seqs       []sequence // a1, a2, b1, b2
+}
+
+func newFourSequences(t *testing.T) fourSequences {
+	t.Helper()
+	eng, heap := testEngine(t, 1<<16, Config{LogEntries: 64})
+	data := heap.MustCarve(4 * nvm.WordsPerLine)
+	h := fourSequences{heap: heap, layout: eng.Layout(),
+		x: data, y: data + nvm.WordsPerLine, p: data + 2*nvm.WordsPerLine, q: data + 3*nvm.WordsPerLine}
+	a, b := eng.Register().(*Thread), eng.Register().(*Thread)
+	for _, step := range []struct {
+		th   *Thread
+		addr nvm.Addr
+	}{{a, h.x}, {b, h.y}, {a, h.p}, {b, h.q}} {
+		if err := increment(step.th, step.addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap.Crash(nvm.PersistAll{})
+	h.seqs, _ = scanLog(heap, a.log.base, h.layout.LogEntries, nil)
+	h.seqs, _ = scanLog(heap, b.log.base, h.layout.LogEntries, h.seqs)
+	if len(h.seqs) != 4 {
+		t.Fatalf("the logs hold %d sequences, want 4", len(h.seqs))
+	}
+	return h
+}
+
+// finish runs the Recover that follows an interrupted one and checks that it
+// rolls nothing back and lands where an uninterrupted Recover does: a1 and b1
+// kept, a2 and b2 rolled back.
+func (h fourSequences) finish(t *testing.T) {
+	t.Helper()
+	report, err := Recover(h.heap, h.layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.SequencesRolledBack != 0 {
+		t.Fatalf("the Recover after the interrupted one rolled back %d sequences: %+v", report.SequencesRolledBack, report)
+	}
+	if b2 := h.seqs[3]; report.MaxTimestamp != b2.ts {
+		t.Fatalf("MaxTimestamp = %d, want b2's %d", report.MaxTimestamp, b2.ts)
+	}
+	for name, c := range map[string]struct {
+		addr nvm.Addr
+		want uint64
+	}{"x": {h.x, 1}, "y": {h.y, 1}, "p": {h.p, 0}, "q": {h.q, 0}} {
+		if got := h.heap.Load(c.addr); got != c.want {
+			t.Errorf("%s = %d after recovery, want %d", name, got, c.want)
+		}
+	}
+	assertRecovered(t, h.heap, h.layout)
 }
 
 // TestRecoverInterruptedInvalidationKeepsNewestSequences: a crash while
@@ -573,51 +635,28 @@ func recoverCrashingBeforeZeroDrain(t *testing.T, heap *nvm.Heap, layout Layout,
 // A's newest, lowers the bound R below it, and rolls back three sequences
 // (a1, b1, b2) where the first Recover kept a1 and b1.
 func TestRecoverInterruptedInvalidationKeepsNewestSequences(t *testing.T) {
-	eng, heap := testEngine(t, 1<<16, Config{LogEntries: 64})
-	layout := eng.Layout()
-	data := heap.MustCarve(4 * nvm.WordsPerLine)
-	x, y, p, q := data, data+nvm.WordsPerLine, data+2*nvm.WordsPerLine, data+3*nvm.WordsPerLine
-	a, b := eng.Register().(*Thread), eng.Register().(*Thread)
-	for _, step := range []struct {
-		th   *Thread
-		addr nvm.Addr
-	}{{a, x}, {b, y}, {a, p}, {b, q}} { // a1 < b1 < a2 < b2
-		if err := increment(step.th, step.addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	heap.Crash(nvm.PersistAll{})
-
-	seqs, _ := scanLog(heap, a.log.base, layout.LogEntries, nil)
-	seqs, _ = scanLog(heap, b.log.base, layout.LogEntries, seqs)
-	if len(seqs) != 4 {
-		t.Fatalf("the logs hold %d sequences, want 4", len(seqs))
-	}
-	a2, b2 := seqs[1], seqs[3]
-	recoverCrashingBeforeZeroDrain(t, heap, layout, persistRange{
+	h := newFourSequences(t)
+	a2 := h.seqs[1]
+	recoverCrashingAt(t, h.heap, h.layout, zeroDrain, persistRange{
 		lo: a2.base + nvm.Addr(a2.start*entryWords),
 		hi: a2.base + nvm.Addr((a2.end+1)*entryWords),
 	})
+	h.finish(t)
+}
 
-	report, err := Recover(heap, layout)
-	if err != nil {
-		t.Fatal(err)
+// TestRecoverInterruptedInvalidationKeepsRollback: a crash while the
+// invalidation record drains persists the record alone. The next Recover
+// trusts the record and skips the rollback, so the restored words must
+// already be durable when the record is stored; drained together with it,
+// they would be lost here and p, q would keep a2's and b2's increments.
+func TestRecoverInterruptedInvalidationKeepsRollback(t *testing.T) {
+	h := newFourSequences(t)
+	record := h.layout.GlobalsBase + offLogsInvalid
+	recoverCrashingAt(t, h.heap, h.layout, recordDrain, persistRange{lo: record, hi: record + 1})
+	if h.heap.Load(record)&logsInvalid == 0 {
+		t.Fatal("the invalidation record did not persist")
 	}
-	if report.SequencesRolledBack != 0 {
-		t.Fatalf("the Recover after the interrupted one rolled back %d sequences: %+v", report.SequencesRolledBack, report)
-	}
-	if report.MaxTimestamp != b2.ts {
-		t.Fatalf("MaxTimestamp = %d, want b2's %d", report.MaxTimestamp, b2.ts)
-	}
-	for name, c := range map[string]struct {
-		addr nvm.Addr
-		want uint64
-	}{"x": {x, 1}, "y": {y, 1}, "p": {p, 0}, "q": {q, 0}} {
-		if got := heap.Load(c.addr); got != c.want {
-			t.Errorf("%s = %d after recovery, want %d", name, got, c.want)
-		}
-	}
-	assertRecovered(t, heap, layout)
+	h.finish(t)
 }
 
 // assertRecovered checks what a finished Recover leaves behind: every log
@@ -665,37 +704,48 @@ func interleavedHistory(t *testing.T, seed int64) (*nvm.Heap, Layout, nvm.Addr) 
 	return heap, eng.Layout(), data
 }
 
-// TestRecoverInterruptedInvalidationRandomCrash stops Recover before its
-// zeroing drains and crashes under a random policy; finishing recovery must
-// then land on exactly the state an uninterrupted Recover reaches from the
-// same crash, and report the same MaxTimestamp.
+// TestRecoverInterruptedInvalidationRandomCrash stops Recover before the
+// invalidation record drains, or before the zeroing drains, and crashes under
+// a random policy; finishing recovery must then land on exactly the state an
+// uninterrupted Recover reaches from the same crash, and report the same
+// MaxTimestamp. It rolls back again only if the record was lost, which can
+// happen only at the record's drain.
 func TestRecoverInterruptedInvalidationRandomCrash(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		want, layout, data := interleavedHistory(t, seed)
-		wantReport, err := Recover(want, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantReport.SequencesRolledBack == 0 {
-			t.Fatalf("seed %d: the reference recovery rolled nothing back", seed)
-		}
-
-		got, _, _ := interleavedHistory(t, seed)
-		recoverCrashingBeforeZeroDrain(t, got, layout, nvm.NewRandomPolicy(1000+seed, 0.5))
-		report, err := Recover(got, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.MaxTimestamp != wantReport.MaxTimestamp || report.SequencesRolledBack != 0 {
-			t.Fatalf("seed %d: finishing an interrupted Recover reported %+v, want MaxTimestamp %d and no rollback",
-				seed, report, wantReport.MaxTimestamp)
-		}
-		for w := data; w < data+16*nvm.WordsPerLine; w += nvm.WordsPerLine {
-			if g, e := got.Load(w), want.Load(w); g != e {
-				t.Fatalf("seed %d: word %d recovered to %d, an uninterrupted Recover gives %d", seed, w, g, e)
+	for _, at := range []drainPoint{recordDrain, zeroDrain} {
+		for seed := int64(1); seed <= 12; seed++ {
+			want, layout, data := interleavedHistory(t, seed)
+			wantReport, err := Recover(want, layout)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if wantReport.SequencesRolledBack == 0 {
+				t.Fatalf("seed %d: the reference recovery rolled nothing back", seed)
+			}
+
+			got, _, _ := interleavedHistory(t, seed)
+			recoverCrashingAt(t, got, layout, at, nvm.NewRandomPolicy(1000+seed, 0.5))
+			rollsBack := 0
+			if got.Load(layout.GlobalsBase+offLogsInvalid)&logsInvalid == 0 {
+				if at == zeroDrain {
+					t.Fatalf("seed %d: the invalidation record was lost at the zeroing's drain", seed)
+				}
+				rollsBack = wantReport.SequencesRolledBack
+			}
+			report, err := Recover(got, layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.MaxTimestamp != wantReport.MaxTimestamp || report.SequencesRolledBack != rollsBack {
+				t.Fatalf("drain point %d, seed %d: finishing an interrupted Recover reported %+v, want MaxTimestamp %d and %d rolled back",
+					at, seed, report, wantReport.MaxTimestamp, rollsBack)
+			}
+			for w := data; w < data+16*nvm.WordsPerLine; w += nvm.WordsPerLine {
+				if g, e := got.Load(w), want.Load(w); g != e {
+					t.Fatalf("drain point %d, seed %d: word %d recovered to %d, an uninterrupted Recover gives %d", at, seed, w, g, e)
+				}
+			}
+			assertRecovered(t, got, layout)
 		}
-		assertRecovered(t, got, layout)
 	}
 }
 
