@@ -147,7 +147,7 @@ func TestApplyAmortizesTransactions(t *testing.T) {
 // land every op.
 func TestApplySplitsOversizedGroups(t *testing.T) {
 	s, eng, th := applyStore(t, Config{Shards: 1, InitialSlotsPerShard: 1024}, core.Config{})
-	budget := s.TxBudget()
+	budget := s.txBudget
 	val := make([]byte, 128) // 17-word blocks: ~21 estimated writes per put
 	for i := range val {
 		val[i] = byte('a' + i%26)

@@ -21,9 +21,9 @@ package kv
 // that committed before it can ever be rolled back, so the verified state
 // the watermark describes is the state any future recovery will reproduce.
 //
-// Reopen then does O(dirty) work: verify the shards stamped past the
-// watermark, enumerate only their reachable blocks, and *assert* them
-// against the arena state the header scavenge rebuilt — undo-logged
+// Reopen then does O(dirty) work: one walk of the shards stamped past the
+// watermark verifies them and collects their reachable blocks, which it
+// *asserts* against the arena state the header scavenge rebuilt — undo-logged
 // alloc/free header flips (alloc.TxLog) are what make the scavenged headers
 // exact after rollback, demoting the whole-store reconcile from load-bearing
 // recovery step to escape hatch.
@@ -162,13 +162,9 @@ func (s *Store) Checkpoint(eng ptm.Engine) (CheckpointReport, error) {
 			dirty = append(dirty, sh)
 		}
 	}
-	dirtyRep, err := s.verifyShards(heap, dirty)
+	dirtyRep, reachable, err := s.walk(heap, dirty)
 	if err != nil {
 		return rep, fmt.Errorf("kv: checkpoint verification: %w", err)
-	}
-	reachable, err := s.reachableBlocksOf(heap, dirty)
-	if err != nil {
-		return rep, fmt.Errorf("kv: checkpoint reachability: %w", err)
 	}
 	if err := arena.AssertLive(reachable); err != nil {
 		return rep, fmt.Errorf("kv: checkpoint arena assert: %w", err)
@@ -225,8 +221,10 @@ type ReopenReport struct {
 	WatermarkEpoch uint64 // epoch of the watermark used
 	FullVerify     bool   // the full verify + reconcile path ran
 	FallbackReason string // why the bounded path was not taken ("" when it was)
-	VerifyTime     time.Duration
-	ArenaTime      time.Duration
+	// VerifyTime is the index walk (verify and collect the reachable
+	// blocks), ArenaTime the arena assert or reconcile.
+	VerifyTime time.Duration
+	ArenaTime  time.Duration
 }
 
 // ReopenWith re-materializes a store from its root address after the
@@ -293,15 +291,11 @@ func ReopenWith(eng ptm.Engine, root nvm.Addr, opts ReopenOptions) (*Store, Reop
 		}
 	}
 	start := time.Now()
-	vrep, err := s.verifyShards(heap, dirty)
+	vrep, reachable, err := s.walk(heap, dirty)
 	if err != nil {
 		return nil, rep, err
 	}
 	rep.VerifyTime = time.Since(start)
-	reachable, err := s.reachableBlocksOf(heap, dirty)
-	if err != nil {
-		return nil, rep, err
-	}
 	start = time.Now()
 	if err := arena.AssertLive(reachable); err != nil {
 		// The scavenged headers disagree with the dirty shards' reachable
@@ -330,15 +324,11 @@ func ReopenWith(eng ptm.Engine, root nvm.Addr, opts ReopenOptions) (*Store, Reop
 func (s *Store) reopenFull(heap *nvm.Heap, arena *alloc.Arena, rep *ReopenReport) error {
 	rep.FullVerify = true
 	start := time.Now()
-	vrep, err := s.Verify(heap)
+	vrep, reachable, err := s.walk(heap, s.allShards())
 	if err != nil {
 		return err
 	}
 	rep.VerifyTime = time.Since(start)
-	reachable, err := s.reachableBlocks(heap)
-	if err != nil {
-		return err
-	}
 	start = time.Now()
 	// Recover's reconciling form fails unless live + free words exactly
 	// cover the arena's high-water mark, so a successful return is the

@@ -317,10 +317,6 @@ func (s *Store) Shards() int { return s.shards }
 // group commit — without reimplementing the store's hash.
 func (s *Store) ShardOf(key []byte) int { return s.shardOf(hashKey(key)) }
 
-// TxBudget returns the per-transaction write budget Apply splits its groups
-// by (the engine's ptm.WriteBudgeter hint, captured at Create/Reopen).
-func (s *Store) TxBudget() int { return s.txBudget }
-
 func (s *Store) shardHeader(sh int) nvm.Addr {
 	return s.root + nvm.WordsPerLine + nvm.Addr(sh*shardHeaderWords)
 }

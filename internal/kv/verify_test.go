@@ -121,9 +121,9 @@ func TestVerifyRejectsBlockReferencedTwice(t *testing.T) {
 }
 
 // TestReopenRejectsBlockOverlappingTable: an entry block's header claims a
-// value long enough to run into the shard table that follows it. Verify
-// reads only key bytes, so it passes; the reopen's reachable-set walk fails
-// naming both regions.
+// value long enough to run into the shard table that follows it. The key
+// bytes still parse; the index walk's overlap check fails, in Verify and in
+// the reopen alike, naming both regions.
 func TestReopenRejectsBlockOverlappingTable(t *testing.T) {
 	c := newCorruptible(t)
 	tables := map[nvm.Addr]bool{}
@@ -135,7 +135,7 @@ func TestReopenRejectsBlockOverlappingTable(t *testing.T) {
 			}
 		}
 	}
-	blocks, err := c.s.reachableBlocks(c.heap)
+	_, blocks, err := c.s.walk(c.heap, c.s.allShards())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +151,37 @@ func TestReopenRejectsBlockOverlappingTable(t *testing.T) {
 	keyLen, _ := unpackHeader(c.heap.Load(entry))
 	c.heap.Store(entry, packHeader(keyLen, int(table-entry)*8))
 
-	mustVerify(t, c.s, c.heap)
-	wantErr(t, "ReopenWith", c.reopen(t), "overlaps", fmt.Sprintf("entry block [%d,", entry), fmt.Sprintf("table [%d,", table))
+	frags := []string{"overlaps", fmt.Sprintf("entry block [%d,", entry), fmt.Sprintf("table [%d,", table)}
+	_, err = c.s.Verify(c.heap)
+	wantErr(t, "Verify", err, frags...)
+	wantErr(t, "ReopenWith", c.reopen(t), frags...)
+}
+
+// TestVerifyAllocationsFlatInEntries: the index walk allocates per walk (the
+// region list, the sort words, the duplicate-key map, the key buffers), never
+// per entry, so four times the keys costs Verify at most a constant more
+// allocations: the duplicate-key map's extra tables.
+func TestVerifyAllocationsFlatInEntries(t *testing.T) {
+	allocs := func(keys int) float64 {
+		eng, heap := newNonDurable(t, 1<<22, 1<<21)
+		th := eng.Register()
+		s := mustCreate(t, eng, th, Config{Shards: 4, InitialSlotsPerShard: 16})
+		for i := 0; i < keys; i++ {
+			if err := s.Put(th, fmt.Appendf(nil, "key-%06d", i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustVerify(t, s, heap)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := s.Verify(heap); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n, slack = 2000, 16
+	small, large := allocs(n), allocs(4*n)
+	t.Logf("Verify allocations: %d keys %.0f, %d keys %.0f", n, small, 4*n, large)
+	if large > small+slack {
+		t.Fatalf("Verify allocations grow with the entries: %.0f at %d keys, %.0f at %d (slack %d)", small, n, large, 4*n, slack)
+	}
 }

@@ -372,8 +372,8 @@ func (s *Server) crash() (rolledBack int, entries uint64, rep crafty.KVReopenRep
 	if rep.FullVerify {
 		path = "full (" + rep.FallbackReason + ")"
 	}
-	log.Printf("craftykv: recovery: rollback %v (%d sequences), engine reopen %v, index %v (%s, %d/%d shards verified)",
-		rollbackTime, report.SequencesRolledBack, engineTime, indexTime, path, rep.VerifiedShards, rep.Shards)
+	log.Printf("craftykv: recovery: rollback %v (%d sequences), engine reopen %v, index %v (walk %v, arena %v; %s, %d/%d shards verified)",
+		rollbackTime, report.SequencesRolledBack, engineTime, indexTime, rep.VerifyTime, rep.ArenaTime, path, rep.VerifiedShards, rep.Shards)
 	s.obs.crashes.Inc(0)
 	s.obs.recoveryNs.Observe((rollbackTime + engineTime + indexTime).Nanoseconds())
 	// Re-adopt the startup metrics blocks so the engine/store counters keep
