@@ -459,10 +459,15 @@ type Storer interface {
 // stay non-transactional because a crash either commits the allocating
 // transaction (they were fenced by its commit) or rolls it back (the restored
 // base header covers the donor whole again). Returns the block base, its size
-// class in words, and the header word the caller must Store. A non-positive
-// size panics with ErrInvalidSize and a full arena with ErrExhausted: inside a
-// transaction body either indicates a mis-sized experiment.
-func (a *Arena) allocTx(words int, f *nvm.Flusher) (addr nvm.Addr, class int, hdrAddr nvm.Addr, hdrWord uint64) {
+// class in words, the header word the caller must Store, and whether the block
+// was carved from the bump frontier. A frontier block holds no word any
+// rollback could restore: the frontier only ever moves up (recovery sets it
+// to at least the persisted high-water mark), so no durable state and no undo
+// entry has ever reached it (see DESIGN.md, "Log-free stores to frontier
+// blocks"). A non-positive size panics with ErrInvalidSize and a full arena
+// with ErrExhausted: inside a transaction body either indicates a mis-sized
+// experiment.
+func (a *Arena) allocTx(words int, f *nvm.Flusher) (addr nvm.Addr, class int, hdrAddr nvm.Addr, hdrWord uint64, fresh bool) {
 	if words <= 0 {
 		panic(fmt.Errorf("%w %d", ErrInvalidSize, words))
 	}
@@ -482,11 +487,12 @@ func (a *Arena) allocTx(words int, f *nvm.Flusher) (addr nvm.Addr, class int, hd
 		addr = a.next
 		a.next += nvm.Addr(class)
 		a.persistHighWater(f)
+		fresh = true
 	}
 	a.markAlloc(addr, class)
 	a.mu.Unlock()
 	a.zero(addr, class)
-	return addr, class, a.headerAddr(addr), packHeader(class/nvm.WordsPerLine, true)
+	return addr, class, a.headerAddr(addr), packHeader(class/nvm.WordsPerLine, true), fresh
 }
 
 // freeHeaderFor returns the header word's address and free-state value for a

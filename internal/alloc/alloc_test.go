@@ -584,3 +584,56 @@ func TestTxLogSteadyStateAllocs(t *testing.T) {
 	}
 	checkAccounting(t, a.Arena)
 }
+
+// TestTxLogFreshOnlyAtFrontier pins which allocations TxLog reports as
+// fresh: blocks carved from the bump frontier, over every word of their
+// class, and the same answers during a replay; never a block taken from the
+// free lists, exact or split, nor anything once the transaction has ended.
+func TestTxLogFreshOnlyAtFrontier(t *testing.T) {
+	x := newArena(t, 1<<12)
+	big := x.alloc(32) // four lines, freed below to be split
+	x.free(big)
+
+	x.l.Begin()
+	split := x.l.Alloc(8, x)  // the smallest free block at least two lines larger: big
+	fresh := x.l.Alloc(40, x) // larger than the split's remainder: the frontier
+	if split != big {
+		t.Fatalf("the 8-word block came from %d, want a split of the freed block at %d", split, big)
+	}
+	for _, c := range []struct {
+		addr nvm.Addr
+		want bool
+	}{{split, false}, {split + 7, false}, {fresh - 1, false}, {fresh, true}, {fresh + 39, true}, {fresh + 40, false}} {
+		if got := x.l.Fresh(c.addr); got != c.want {
+			t.Errorf("Fresh(%d) = %v, want %v (split block %d, frontier block %d)", c.addr, got, c.want, split, fresh)
+		}
+	}
+	if got := x.l.AppendFresh(nil); len(got) != 1 || got[0] != (Block{Addr: fresh, Words: 40}) {
+		t.Fatalf("AppendFresh = %v, want only the frontier block", got)
+	}
+	x.l.BeginReplay()
+	if !x.l.Fresh(fresh) || x.l.Fresh(split) {
+		t.Fatal("a replay, before re-issuing the allocations, answers differently")
+	}
+	if x.l.Alloc(8, x) != split || x.l.Alloc(40, x) != fresh || !x.l.Fresh(fresh+3) {
+		t.Fatal("the replay handed back other blocks or lost their freshness")
+	}
+	x.commit()
+	if x.l.Fresh(fresh) || len(x.l.AppendFresh(nil)) != 0 {
+		t.Fatal("a committed transaction's blocks are still fresh in the next")
+	}
+
+	// A frontier block released by an aborted transaction goes to the free
+	// lists, so the next allocation of its class is not fresh.
+	x.l.Begin()
+	gone := x.l.Alloc(48, x)
+	if !x.l.Fresh(gone) {
+		t.Fatalf("the 48-word block %d did not come from the frontier", gone)
+	}
+	x.l.Abort()
+	x.l.Begin()
+	if again := x.l.Alloc(48, x); again != gone || x.l.Fresh(again) {
+		t.Fatalf("after an abort, the 48-word block %d (fresh %v) should reuse %d, not fresh", again, x.l.Fresh(again), gone)
+	}
+	x.commit()
+}

@@ -11,7 +11,11 @@ import "crafty/internal/nvm"
 //     returned in the same order) when the Validate phase re-executes the
 //     transaction body;
 //   - frees are deferred until the transaction commits, and discarded if it
-//     never does.
+//     never does;
+//   - allocations carved from the arena frontier are flagged, and Fresh tells
+//     an engine which addresses lie inside them: Crafty stores to those
+//     without undo entries (see DESIGN.md, "Log-free stores to frontier
+//     blocks").
 //
 // Block-header transitions are issued through the owning transaction's own
 // Store (the Storer handed to Alloc and Free), so each alloc and free flip is
@@ -41,6 +45,11 @@ type TxLog struct {
 	// replay is the index of the next recorded allocation to hand back out
 	// while re-executing a body (Validate phase); -1 means live allocation.
 	replay int
+
+	// [freshLo, freshHi) bounds the recorded allocations carved from the
+	// arena frontier (empty, with freshLo > freshHi, when there are none), so
+	// Fresh turns most addresses away with two compares.
+	freshLo, freshHi nvm.Addr
 }
 
 // blockRec names one block the transaction allocated or freed, with the
@@ -50,13 +59,16 @@ type blockRec struct {
 	class   int // size class in words
 	hdrAddr nvm.Addr
 	hdrWord uint64
+	fresh   bool // allocations only: carved from the arena frontier
 }
 
 // NewTxLog creates an allocation log over arena, which is nil for an engine
 // built without one. flusher is the owning thread's persist handle: it fences
 // the arena's metadata flushes at the thread's transaction boundaries.
 func NewTxLog(arena *Arena, flusher *nvm.Flusher) *TxLog {
-	return &TxLog{arena: arena, flusher: flusher, replay: -1}
+	l := &TxLog{arena: arena, flusher: flusher}
+	l.Begin()
+	return l
 }
 
 // mustArena returns the arena Alloc and Free act on.
@@ -72,6 +84,7 @@ func (l *TxLog) Begin() {
 	l.allocs = l.allocs[:0]
 	l.frees = l.frees[:0]
 	l.replay = -1
+	l.freshLo, l.freshHi = ^nvm.Addr(0), 0
 }
 
 // BeginReplay rewinds the allocation cursor so that a re-execution of the
@@ -108,10 +121,44 @@ func (l *TxLog) Alloc(words int, tx Storer) nvm.Addr {
 }
 
 func (l *TxLog) liveAlloc(words int, tx Storer) nvm.Addr {
-	addr, class, hdrAddr, hdrWord := l.mustArena().allocTx(words, l.flusher)
-	l.allocs = append(l.allocs, blockRec{addr: addr, class: class, hdrAddr: hdrAddr, hdrWord: hdrWord})
+	addr, class, hdrAddr, hdrWord, fresh := l.mustArena().allocTx(words, l.flusher)
+	l.allocs = append(l.allocs, blockRec{addr: addr, class: class, hdrAddr: hdrAddr, hdrWord: hdrWord, fresh: fresh})
+	if fresh {
+		l.freshLo, l.freshHi = min(l.freshLo, addr), max(l.freshHi, addr+nvm.Addr(class))
+	}
 	tx.Store(hdrAddr, hdrWord)
 	return addr
+}
+
+// Fresh reports whether addr lies inside a block this transaction carved
+// from the arena frontier. Such a word has no pre-image any rollback could
+// restore, so Crafty stores to it without an undo entry (see DESIGN.md,
+// "Log-free stores to frontier blocks"). The answer covers every recorded
+// allocation, replayed or not yet, so a re-execution of the body (the
+// Validate phase) gets the answer the first run got for the same store.
+func (l *TxLog) Fresh(addr nvm.Addr) bool {
+	if addr < l.freshLo || addr >= l.freshHi {
+		return false
+	}
+	// Newest first: a body fills the block it allocated last.
+	for i := len(l.allocs) - 1; i >= 0; i-- {
+		r := &l.allocs[i]
+		if r.fresh && addr >= r.addr && addr < r.addr+nvm.Addr(r.class) {
+			return true
+		}
+	}
+	return false
+}
+
+// AppendFresh appends the recorded allocations carved from the arena
+// frontier to dst, each with its whole size class, and returns the result.
+func (l *TxLog) AppendFresh(dst []Block) []Block {
+	for _, r := range l.allocs {
+		if r.fresh {
+			dst = append(dst, Block{Addr: r.addr, Words: r.class})
+		}
+	}
+	return dst
 }
 
 // Free records a deferred free of addr, issuing the header's free flip
@@ -132,9 +179,7 @@ func (l *TxLog) Abort() {
 	for _, r := range l.allocs {
 		l.arena.releaseTxAlloc(r.addr, l.flusher)
 	}
-	l.allocs = l.allocs[:0]
-	l.frees = l.frees[:0]
-	l.replay = -1
+	l.Begin()
 }
 
 // Commit applies the deferred frees (volatile-only: their header flips
@@ -150,7 +195,5 @@ func (l *TxLog) Commit() {
 	for _, r := range l.frees {
 		l.arena.releaseTxFreed(r.addr, r.class)
 	}
-	l.allocs = l.allocs[:0]
-	l.frees = l.frees[:0]
-	l.replay = -1
+	l.Begin()
 }

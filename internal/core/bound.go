@@ -205,6 +205,9 @@ func (u *Thread) forceEmpty(flusher *nvm.Flusher, ts uint64) bool {
 	for _, rec := range u.log.lastSequenceEntriesLocked() {
 		flusher.Flush(rec.addr)
 	}
+	for _, b := range u.fresh {
+		flusher.FlushRange(b.Addr, b.Words)
+	}
 	if int(u.log.head.Load()) >= u.log.capEntries {
 		if u.log.lastTSOfHalf[0].Load() >= u.eng.tsLowerBound.Load() {
 			// The owner's oldest half may still be needed by recovery; try

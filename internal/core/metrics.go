@@ -8,9 +8,9 @@ import (
 // the fallback and log-maintenance machinery that the per-thread outcome
 // counters (Thread.outcomes, merged by Engine.Stats) do not cover. Every
 // increment happens outside hardware transaction bodies — on the SGL path
-// after the lock is held, or in the log-room bookkeeping that runs between
-// transactions — so instrumentation never joins a write set and never
-// double-counts a re-executed body. Stripes are thread slots.
+// after the lock is held, in the log-room bookkeeping that runs between
+// transactions, or after a commit — so instrumentation never joins a write
+// set and never double-counts a re-executed body. Stripes are thread slots.
 //
 // An Engine allocates its own Metrics; a server that replaces engines across
 // crash/recovery cycles can carry the counters over with AdoptMetrics so the
@@ -34,6 +34,12 @@ type Metrics struct {
 	LogWraps      obs.Counter
 	HalfSwaps     obs.Counter
 	ForcedEmpties obs.Counter
+
+	// LogFreeWrites counts the committed stores to blocks their transaction
+	// carved from the arena frontier, which took no undo entry. ptm.Stats'
+	// Writes counts them too, so core.writes stays comparable across
+	// engines. Added after commit, outside any hardware transaction.
+	LogFreeWrites obs.Counter
 }
 
 // RegisterInto publishes the metrics under prefix (e.g. "core") in r.
@@ -44,6 +50,7 @@ func (m *Metrics) RegisterInto(r *obs.Registry, prefix string) {
 	r.RegisterCounter(prefix+".log.wraps", &m.LogWraps)
 	r.RegisterCounter(prefix+".log.half_swaps", &m.HalfSwaps)
 	r.RegisterCounter(prefix+".log.forced_empties", &m.ForcedEmpties)
+	r.RegisterCounter(prefix+".logfree_writes", &m.LogFreeWrites)
 }
 
 // Metrics returns the engine's instrument block.

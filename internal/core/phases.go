@@ -64,6 +64,8 @@ func (t *Thread) logPhase(body func(tx ptm.Tx) error, a *attempt) htm.AbortCause
 	}
 	a.lastTS = t.hw.CommitTS()
 	a.writes = len(t.undo)
+	// Still inside the append claim, so no forcer reads the list meanwhile.
+	t.fresh = t.txAlloc.AppendFresh(t.fresh[:0])
 	t.log.advance(a.startSlot, a.writes+1, a.lastTS)
 	return htm.CauseNone
 }
@@ -139,6 +141,7 @@ func (t *Thread) redoPhase(a *attempt) htm.AbortCause {
 func (t *Thread) validatePhase(body func(tx ptm.Tx) error, a *attempt) htm.AbortCause {
 	a.sglBusy = false
 	a.validationFailed = false
+	a.logFree = 0
 	t.txAlloc.BeginReplay()
 	cause := t.hw.Run(func(hwtx *htm.Tx) {
 		if hwtx.Load(t.eng.sglAddr) != 0 {
@@ -169,11 +172,12 @@ func (t *Thread) validatePhase(body func(tx ptm.Tx) error, a *attempt) htm.Abort
 	return htm.CauseNone
 }
 
-// flushCommit flushes the transaction's written-to cache lines and its
-// COMMITTED entry. There is no drain: the recovery algorithm always rolls
-// back each thread's most recent logged sequence precisely because these
-// write-backs may not have completed, and the thread's next hardware
-// transaction commit fences them.
+// flushCommit flushes the transaction's written-to cache lines, the lines of
+// the blocks it carved from the arena frontier (stored without undo entries,
+// so the loop over them does not see them) and its COMMITTED entry. There is
+// no drain: the recovery algorithm always rolls back each thread's most
+// recent logged sequence precisely because these write-backs may not have
+// completed, and the thread's next hardware transaction commit fences them.
 //
 // The written-to addresses are deduplicated to one CLWB per distinct cache
 // line (through a reused, sorted scratch buffer) rather than issuing one
@@ -192,6 +196,9 @@ func (t *Thread) flushCommit(a *attempt) {
 		}
 		prev = line
 		t.flusher.Flush(nvm.Addr(line * nvm.WordsPerLine))
+	}
+	for _, b := range t.fresh {
+		t.flusher.FlushRange(b.Addr, b.Words)
 	}
 	t.flusher.FlushRange(t.log.slotAddr(a.markerSlot), entryWords)
 }

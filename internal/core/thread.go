@@ -41,6 +41,10 @@ type attempt struct {
 	writes     int    // persistent writes logged
 	readOnly   bool
 
+	// Set by the Log phase and reset by each Validate phase: stores the
+	// executing body made to frontier blocks, which take no undo entry.
+	logFree int
+
 	// Set by the Redo or Validate phase.
 	commitTS uint64
 
@@ -68,6 +72,14 @@ type Thread struct {
 	// Volatile per-transaction logs, reused across transactions.
 	undo []undoRec
 	redo []redoRec
+
+	// fresh names the blocks the most recent Log phase carved from the arena
+	// frontier. Their words were stored without undo entries, so the log
+	// does not name them: flushCommit flushes them, and so does forceEmpty,
+	// which reads the list under log.mu while appending is false. The owner
+	// rewrites it only while it holds the append claim. A list older than
+	// the log's last sequence only costs forceEmpty some needless flushes.
+	fresh []alloc.Block
 
 	// Per-transaction scratch reused so the steady-state path allocates
 	// nothing: the attempt state, the ptm.Tx adapters handed to bodies (the
@@ -131,6 +143,15 @@ func (c *craftyTx) Load(addr nvm.Addr) uint64 { return c.hwtx.Load(addr) }
 
 // Store implements ptm.Tx.
 func (c *craftyTx) Store(addr nvm.Addr, val uint64) {
+	if c.t.txAlloc.Fresh(addr) {
+		// A word of a block this transaction carved from the arena frontier:
+		// no rollback can restore a pre-image there, so the store takes no
+		// undo entry, no redo record and no validation, in either mode
+		// (DESIGN.md §3, "Log-free stores to frontier blocks").
+		c.a.logFree++
+		c.hwtx.Store(addr, val)
+		return
+	}
 	switch c.mode {
 	case modeLog:
 		// Algorithm 1: record the old value in the persistent undo log (via
@@ -360,7 +381,10 @@ func (t *Thread) prepareRetry() {
 func (t *Thread) finishCommit(outcome ptm.Outcome, a *attempt) {
 	t.txAlloc.Commit()
 	t.outcomes[outcome]++
-	t.writes += uint64(a.writes)
+	t.writes += uint64(a.writes + a.logFree)
+	if a.logFree > 0 {
+		t.eng.metrics.LogFreeWrites.Add(t.slot, uint64(a.logFree))
+	}
 	if !a.readOnly && a.lastTS != 0 {
 		t.checkLag(a.lastTS)
 	}

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -184,32 +185,81 @@ func TestApplySplitsOversizedGroups(t *testing.T) {
 	t.Logf("64 single-shard ops, budget %d: %d transactions", budget, txns)
 }
 
-// TestApplyOversizedOpFailsTyped sends one op whose write set cannot fit the
-// engine's undo log at all: it must fail alone with ErrTxTooLarge (wrapped in
-// the group abort), leaving the rest of the batch and the store intact.
+// TestApplyOversizedOpFailsTyped sends ops whose write sets do and do not
+// fit the engine's undo log. A put that fills a block carved from the arena
+// frontier logs only its slot, counters and header flip, so even a 402-word
+// entry commits against a 256-entry log. An in-place overwrite of that entry
+// logs every value word it rewrites (400, checked on an engine whose log
+// holds them): it must fail alone with ErrTxTooLarge (wrapped in the group
+// abort), leaving its siblings committed and the old value intact.
 func TestApplyOversizedOpFailsTyped(t *testing.T) {
+	huge := bytes.Repeat([]byte("a"), 8*400) // a 402-word entry block
+	other := bytes.Repeat([]byte("b"), 8*400)
+	apply := func(s *Store, th ptm.Thread, ops []Op) []OpResult {
+		t.Helper()
+		res, _, err := s.Apply(th, ops, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// loggedWords runs ops and returns the undo-logged and log-free words
+	// their commits wrote.
+	loggedWords := func(s *Store, eng *core.Engine, th ptm.Thread, ops []Op) (logged, logFree uint64) {
+		t.Helper()
+		w0, f0 := eng.Stats().Writes, eng.Metrics().LogFreeWrites.Value()
+		for i, r := range apply(s, th, ops) {
+			if r.Err != nil {
+				t.Fatalf("op %d: %v", i, r.Err)
+			}
+		}
+		f := eng.Metrics().LogFreeWrites.Value() - f0
+		return eng.Stats().Writes - w0 - f, f
+	}
+
+	// What each op logs, on a log large enough for either.
+	big, bigEng, bigTh := applyStore(t, Config{Shards: 1, InitialSlotsPerShard: 64}, core.Config{})
+	logged, logFree := loggedWords(big, bigEng, bigTh, []Op{{Kind: OpPut, Key: []byte("huge"), Value: huge}})
+	// Logged: the slot, both shard counters, the dirty epoch, the header flip.
+	if logged != 5 || logFree != 402 {
+		t.Fatalf("fresh put logged %d words and wrote %d log-free, want 5 and 402", logged, logFree)
+	}
+	logged, logFree = loggedWords(big, bigEng, bigTh, []Op{{Kind: OpPut, Key: []byte("huge"), Value: other}})
+	if logged != 400 || logFree != 0 {
+		t.Fatalf("in-place overwrite logged %d words and wrote %d log-free, want 400 and 0", logged, logFree)
+	}
+
 	s, eng, th := applyStore(t, Config{Shards: 1, InitialSlotsPerShard: 64},
 		core.Config{LogEntries: 256})
-	huge := make([]byte, 8*400) // 401-word block: overflows a 256-entry log
-	ops := []Op{
+	res := apply(s, th, []Op{
 		{Kind: OpPut, Key: []byte("small-1"), Value: []byte("v1")},
 		{Kind: OpPut, Key: []byte("huge"), Value: huge},
 		{Kind: OpPut, Key: []byte("small-2"), Value: []byte("v2")},
+	})
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("op %d of the fresh batch: %v", i, r.Err)
+		}
 	}
-	res, _, err := s.Apply(th, ops, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	if v, ok, _ := s.Get(th, []byte("huge"), nil); !ok || !bytes.Equal(v, huge) {
+		t.Fatalf("fresh 402-word put reads back %d bytes (present=%v)", len(v), ok)
 	}
+
+	res = apply(s, th, []Op{
+		{Kind: OpPut, Key: []byte("small-3"), Value: []byte("v3")},
+		{Kind: OpPut, Key: []byte("huge"), Value: other},
+		{Kind: OpPut, Key: []byte("small-4"), Value: []byte("v4")},
+	})
 	if res[0].Err != nil || res[2].Err != nil {
 		t.Fatalf("small ops failed: %v / %v", res[0].Err, res[2].Err)
 	}
 	if !errors.Is(res[1].Err, ptm.ErrTxTooLarge) {
-		t.Fatalf("oversized op error = %v, want ErrTxTooLarge", res[1].Err)
+		t.Fatalf("oversized overwrite error = %v, want ErrTxTooLarge", res[1].Err)
 	}
-	if _, ok, _ := s.Get(th, []byte("huge"), nil); ok {
-		t.Fatal("oversized op published")
+	if v, ok, _ := s.Get(th, []byte("huge"), nil); !ok || !bytes.Equal(v, huge) {
+		t.Fatalf("failed overwrite left %d bytes (present=%v), want the old value", len(v), ok)
 	}
-	for _, k := range []string{"small-1", "small-2"} {
+	for _, k := range []string{"small-1", "small-2", "small-3", "small-4"} {
 		if _, ok, _ := s.Get(th, []byte(k), nil); !ok {
 			t.Fatalf("key %s lost to sibling's capacity failure", k)
 		}

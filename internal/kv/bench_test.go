@@ -197,6 +197,61 @@ func BenchmarkKVApplyMixedA16(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/op")
 }
 
+// BenchmarkKVPreload times craftykv's preload in process, on one thread:
+// 100,000 inserts of 100-byte values into a fresh store of 64 shards of 256
+// initial slots, in 16-op Apply groups, so the shards rehash on the way. It
+// reports ns/insert and the undo-logged and log-free words per insert: entry
+// blocks carved from the arena frontier are filled log-free, those split
+// from freed rehash tables through the undo log.
+func BenchmarkKVPreload(b *testing.B) {
+	const records, shards, group = 100_000, 64, 16
+	val := make([]byte, 100)
+	for i := range val {
+		val[i] = byte('a' + i%26)
+	}
+	ops := make([]Op, records)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPut, Key: fmt.Appendf(nil, "key%07d", i), Value: val}
+	}
+	var res []OpResult
+	var logged, logFree uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		heap := nvm.NewHeap(nvm.Config{Words: 1 << 23, PersistLatency: nvm.NoLatency, TrackPersistence: true})
+		eng, err := core.NewEngine(heap, core.Config{ArenaWords: 1 << 22})
+		if err != nil {
+			b.Fatal(err)
+		}
+		th := eng.Register()
+		s, err := Create(eng, th, Config{Shards: shards, InitialSlotsPerShard: 256})
+		if err != nil {
+			b.Fatal(err)
+		}
+		w0, f0 := eng.Stats().Writes, eng.Metrics().LogFreeWrites.Value()
+		b.StartTimer()
+		for j := 0; j < records; j += group {
+			if res, _, err = s.Apply(th, ops[j:j+group], res, nil); err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range res {
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
+			}
+		}
+		b.StopTimer()
+		f := eng.Metrics().LogFreeWrites.Value() - f0
+		logged += eng.Stats().Writes - w0 - f
+		logFree += f
+		eng.Close()
+	}
+	inserts := float64(b.N * records)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/inserts, "ns/insert")
+	b.ReportMetric(float64(logged)/inserts, "logged/insert")
+	b.ReportMetric(float64(logFree)/inserts, "logfree/insert")
+}
+
 // BenchmarkKVReopenFull times the full reopen — the whole-index walk and the
 // exact arena reconcile — after a crash of a store shaped like craftykv's
 // write-batch workload: 100,000 keys over 64 shards, 100-byte values, loaded
